@@ -48,9 +48,9 @@
 //!
 //! [`NemesisConfig::coll_alg`]: crate::config::NemesisConfig::coll_alg
 
-mod group;
-
-pub use group::CommGroup;
+/// The subcommunicator every collective runs over (one definition for
+/// both stacks — see [`nemesis_model::group`]).
+pub use nemesis_model::Group as CommGroup;
 
 use nemesis_kernel::BufId;
 

@@ -17,8 +17,14 @@
 //!   EWMA-smoothed and published with hysteresis so the decision
 //!   converges instead of oscillating;
 //! * a learned chunk sweet spot — the best-throughput chunk size class
-//!   observed on that pair's wire (see [`chunk`]), consumed by the
+//!   observed on that pair's wire (see [`ChunkModel`]), consumed by the
 //!   `Learned` [`ChunkSchedule`](crate::lmt::ChunkSchedule).
+//!
+//! The models that need no clock — the EWMA cell, the bandit, the
+//! chunk model, the collective grid — live in `nemesis-model` and are
+//! shared with the real-thread tuner; this module keeps what is
+//! sim-side: the demotion clock, the collective agreement memo, the
+//! snapshot format, the placement priors and the crossover scan.
 //!
 //! **Hot-path contract:** decisions are *reads of cached atomics*
 //! ([`Tuner::dma_min`], [`Tuner::chunk_target`]) — no per-decision
@@ -47,7 +53,6 @@
 //! every rendezvous transfer request the offload (see
 //! [`Tuner::floor`]).
 
-pub mod chunk;
 pub mod selector;
 pub mod threshold;
 
@@ -62,7 +67,8 @@ use nemesis_sim::topology::Placement;
 use crate::config::LmtSelect;
 use crate::lmt::striped::RailKind;
 
-use chunk::ChunkModel;
+use nemesis_model::ewma::blend;
+use nemesis_model::{explore_flip, is_explore_tick, ChunkModel};
 use selector::{CollAlgModel, CollKind, SelectorModel};
 use threshold::CrossoverModel;
 
@@ -87,7 +93,7 @@ pub struct TransferSample {
     pub class: TransferClass,
     /// Cache relation of the two cores at completion time.
     pub placement: Placement,
-    /// Payload length in bytes (size class = `log2`).
+    /// Payload length in bytes.
     pub bytes: u64,
     /// Elapsed virtual time (picoseconds) from receive start to
     /// completion.
@@ -102,18 +108,6 @@ pub struct TransferSample {
     /// rail's samples no longer skew the CMA rail's weight through the
     /// shared Copy-class cell.
     pub rail: Option<RailKind>,
-}
-
-impl TransferSample {
-    /// Power-of-two size class (`floor(log2(bytes))`); degenerate
-    /// lengths land in class 0.
-    pub fn size_class(&self) -> u32 {
-        if self.bytes == 0 {
-            0
-        } else {
-            self.bytes.ilog2()
-        }
-    }
 }
 
 /// Per-directed-pair learned state. Published decisions are atomics;
@@ -198,11 +192,7 @@ impl PairState {
 /// seeds the cell).
 fn fold_bw(slot: &AtomicU64, bw: f64) {
     let prev = f64::from_bits(slot.load(Ordering::Relaxed));
-    let next = if prev == 0.0 {
-        bw
-    } else {
-        0.25 * bw + 0.75 * prev
-    };
+    let next = if prev == 0.0 { bw } else { blend(prev, bw) };
     slot.store(next.to_bits(), Ordering::Relaxed);
 }
 
@@ -220,14 +210,6 @@ pub struct PairSnapshot {
     /// Placement of the pair, if any transfer has been observed.
     pub placement: Option<Placement>,
 }
-
-/// In-band exploration period: every `EXPLORE_PERIOD`-th decision whose
-/// length falls near the current threshold runs the minority mechanism,
-/// so the crossover model keeps seeing both classes on both sides of
-/// the boundary (otherwise the learned threshold could never move
-/// against its own decisions). Deterministic — no RNG on the decision
-/// path, and seeded runs stay reproducible.
-const EXPLORE_PERIOD: u32 = 8;
 
 /// Number of [`placement_code`] values (the prior-cell array size).
 const NPLACEMENTS: usize = 5;
@@ -335,6 +317,7 @@ impl Tuner {
     ) {
         self.coll
             .lock()
+            .grid
             .observe(kind, gsize, msg_bytes, arm, moved_bytes, elapsed_ps);
     }
 
@@ -347,7 +330,7 @@ impl Tuner {
         msg_bytes: u64,
         arm: usize,
     ) -> (f64, u32) {
-        self.coll.lock().cell(kind, gsize, msg_bytes, arm)
+        self.coll.lock().grid.cell(kind, gsize, msg_bytes, arm)
     }
 
     /// Materialize (or fetch) the pair's cell. Decision and recording
@@ -539,17 +522,12 @@ impl Tuner {
     /// lengths occasionally run the minority store flavour so the
     /// crossover keeps seeing both sides.
     pub fn nt_decision(&self, src: usize, dst: usize, len: u64, threshold: u64) -> bool {
-        let by_threshold = len >= threshold;
-        if len >= threshold / 4 && len < threshold.saturating_mul(4) {
-            let tick = self
-                .pair(src, dst)
+        let tick = || {
+            self.pair(src, dst)
                 .nt_explore
-                .fetch_add(1, Ordering::Relaxed);
-            if tick % EXPLORE_PERIOD == EXPLORE_PERIOD - 1 {
-                return !by_threshold;
-            }
-        }
-        by_threshold
+                .fetch_add(1, Ordering::Relaxed)
+        };
+        (len >= threshold) != explore_flip(len, threshold, || tick().into())
     }
 
     /// How many times the pair's placement has changed mid-run (each
@@ -723,7 +701,7 @@ impl Tuner {
     }
 
     /// The chunk target for one new transfer, with deterministic probe
-    /// transfers: every [`EXPLORE_PERIOD`]-th transfer runs unclamped
+    /// transfers: every 8th transfer ([`is_explore_tick`]) runs unclamped
     /// (returns 0 = "no target") so chunk classes above the current
     /// sweet spot keep being sampled — without probes the schedule
     /// could never discover that larger chunks became profitable.
@@ -736,7 +714,7 @@ impl Tuner {
             return 0;
         }
         let tick = p.chunk_probe.fetch_add(1, Ordering::Relaxed);
-        if tick % EXPLORE_PERIOD == EXPLORE_PERIOD - 1 {
+        if is_explore_tick(u64::from(tick)) {
             0
         } else {
             published
@@ -751,14 +729,8 @@ impl Tuner {
     /// value could never move against its own decisions). Out-of-band
     /// lengths always follow the threshold.
     pub fn offload_decision(&self, src: usize, dst: usize, len: u64, threshold: u64) -> bool {
-        let by_threshold = len >= threshold;
-        if len >= threshold / 4 && len < threshold.saturating_mul(4) {
-            let tick = self.pair(src, dst).explore.fetch_add(1, Ordering::Relaxed);
-            if tick % EXPLORE_PERIOD == EXPLORE_PERIOD - 1 {
-                return !by_threshold;
-            }
-        }
-        by_threshold
+        let tick = || self.pair(src, dst).explore.fetch_add(1, Ordering::Relaxed);
+        (len >= threshold) != explore_flip(len, threshold, || tick().into())
     }
 
     /// The threshold floor (the eager/rendezvous switchover).
@@ -839,10 +811,22 @@ impl Tuner {
                 if nt != 0 {
                     let _ = writeln!(out, "nt {src} {dst} {nt}");
                 }
-                p.model.lock().selector.export_lines(&mut out, src, dst);
+                // Exploration clocks (and the collective memos below)
+                // restart fresh in the importing universe.
+                let mut cells = selector::EMPTY_CELL_GRID;
+                p.model.lock().selector.copy_cells(&mut cells);
+                for (ci, row) in cells.iter().enumerate() {
+                    for (ai, &(bits, n)) in row.iter().enumerate() {
+                        if n > 0 {
+                            let _ = writeln!(out, "arm {src} {dst} {ci} {ai} {bits:#x} {n}");
+                        }
+                    }
+                }
             }
         }
-        self.coll.lock().export_lines(&mut out);
+        for (k, g, c, a, bw, n) in self.coll.lock().grid.sampled() {
+            let _ = writeln!(out, "coll {k} {g} {c} {a} {:#x} {n}", bw.to_bits());
+        }
         out
     }
 
@@ -882,6 +866,7 @@ impl Tuner {
                     ) {
                         self.coll
                             .lock()
+                            .grid
                             .import_cell(kind, gclass, mclass, arm, bits, n);
                     }
                 }
@@ -1087,11 +1072,11 @@ mod tests {
             assert!(t.offload_decision(0, 1, 1 << 30, 1 << 20));
             assert!(!t.offload_decision(0, 1, 70 << 10, 1 << 20));
         }
-        // In band: exactly one flip per EXPLORE_PERIOD decisions.
+        // In band: exactly one flip per 8 decisions.
         let flips = (0..64)
             .filter(|_| !t.offload_decision(0, 1, 2 << 20, 1 << 20))
             .count();
-        assert_eq!(flips, 64 / EXPLORE_PERIOD as usize);
+        assert_eq!(flips, 64 / 8);
     }
 
     #[test]

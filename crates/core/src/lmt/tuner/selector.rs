@@ -12,18 +12,13 @@
 //! headroom the architectural rules cannot see; cf. the FSB-bound E5345
 //! contrast in `BENCH_4.json`).
 //!
-//! # Exploration schedule (deterministic — seeded runs stay reproducible)
-//!
-//! 1. **Sweep**: until every eligible arm has [`MIN_PROBE`] samples in
-//!    the class, pick the least-sampled arm (lowest index on ties).
-//! 2. **Exploit**: pick the best bandwidth EWMA, with a small
-//!    hysteresis so measurement jitter cannot unseat the incumbent.
-//! 3. **Probes**: re-probe a minority arm at exponentially spaced ticks
-//!    (16, 32, 64, … capped), round-robin over the arms, so a regime
-//!    change is eventually noticed while the amortized probe cost goes
-//!    to zero — the convergence bound (`scenario_sweep`: within 1.25×
-//!    of the best fixed backend; `BENCH_5.json`: ≥ 0.95×) depends on
-//!    probes becoming rare.
+//! The bandit itself — sweep, exploit with hysteresis, exponentially
+//! spaced probes — is [`nemesis_model::Bandit`], shared with the
+//! real-thread tuner; the convergence bounds (`scenario_sweep`: within
+//! 1.25× of the best fixed backend; `BENCH_5.json`: ≥ 0.95×) depend on
+//! its probes becoming rare. What lives here is sim-side: the arm
+//! table, the demotion clock, the `(group id, sequence)` memo of the
+//! collective bandit, and the cell exchange formats.
 //!
 //! # Demotion and decay
 //!
@@ -35,6 +30,12 @@
 //! sample count is zeroed (its bandwidth estimate survives as a prior),
 //! so the sweep re-probes every arm within `arms × MIN_PROBE`
 //! decisions.
+
+use nemesis_model::coll::{slot_of, CollGrid, COLL_SLOTS};
+use nemesis_model::{log2_class, Bandit};
+
+pub use nemesis_model::bandit::MIN_PROBE;
+pub use nemesis_model::CollKind;
 
 use crate::config::{KnemSelect, LmtSelect};
 
@@ -69,6 +70,11 @@ const CLASS_BASE: u32 = 16;
 /// Number of selector size classes.
 pub const NCLASSES: usize = 8;
 
+/// The size class of a transfer length.
+pub fn class_of(bytes: u64) -> usize {
+    log2_class(bytes, CLASS_BASE, NCLASSES)
+}
+
 /// A flat `(bw_bits, n)` copy of every (class, arm) cell — the exchange
 /// format between a pair's selector and the tuner's placement-keyed
 /// prior cells (see `Tuner::seed_from_prior`).
@@ -77,77 +83,13 @@ pub type CellGrid = [[(u64, u32); NARMS]; NCLASSES];
 /// An all-unsampled [`CellGrid`].
 pub const EMPTY_CELL_GRID: CellGrid = [[(0, 0); NARMS]; NCLASSES];
 
-/// Samples an arm needs in a class before the sweep stops probing it.
-pub const MIN_PROBE: u32 = 2;
-
-/// First steady-state probe interval in class decisions; doubles after
-/// every probe up to [`PROBE_CAP`].
-const PROBE_START: u64 = 16;
-const PROBE_CAP: u64 = 1024;
-
 /// Decisions a demoted arm sits out before it may be re-picked.
 pub const DEMOTE_WINDOW: u64 = 256;
 
-/// EWMA smoothing for per-cell bandwidth.
-const ALPHA: f64 = 0.25;
-
-/// A challenger arm must beat the incumbent's bandwidth by this factor
-/// to unseat it.
-const HYSTERESIS: f64 = 1.05;
-
-/// The size class of a transfer length.
-pub fn class_of(bytes: u64) -> usize {
-    let lg = if bytes == 0 { 0 } else { bytes.ilog2() };
-    (lg.saturating_sub(CLASS_BASE) as usize).min(NCLASSES - 1)
-}
-
-#[derive(Default, Clone, Copy)]
-struct Cell {
-    /// EWMA bandwidth in bytes per picosecond.
-    bw: f64,
-    /// Observations folded into `bw`.
-    n: u32,
-    /// Times the arm was picked (feedback can lag the pick — a burst of
-    /// in-flight transfers reports later — so the sweep bounds itself
-    /// on picks too, never spinning on an arm whose samples are slow).
-    picked: u32,
-}
-
-#[derive(Clone, Copy)]
-struct ClassState {
-    cells: [Cell; NARMS],
-    /// Decisions taken in this class.
-    tick: u64,
-    /// Next steady-state probe fires at this class tick (0 = not yet
-    /// scheduled — set on the first exploit decision).
-    next_probe: u64,
-    probe_interval: u64,
-    /// Round-robin cursor over the arms for steady-state probes.
-    probe_cursor: usize,
-    /// Remaining repeats of the current probe (probes run in streaks
-    /// of two so the second sample measures the mechanism warm).
-    probe_streak: u8,
-    /// Incumbent arm (`usize::MAX` = none yet).
-    incumbent: usize,
-}
-
-impl Default for ClassState {
-    fn default() -> Self {
-        Self {
-            cells: [Cell::default(); NARMS],
-            tick: 0,
-            next_probe: 0,
-            probe_interval: PROBE_START,
-            probe_cursor: 0,
-            probe_streak: 0,
-            incumbent: usize::MAX,
-        }
-    }
-}
-
 /// Per-pair selector state (lives behind the tuner's per-pair mutex).
+#[derive(Default)]
 pub struct SelectorModel {
-    classes: [ClassState; NCLASSES],
+    classes: [Bandit<NARMS>; NCLASSES],
     /// Pair-wide decision counter (the demotion clock).
     decisions: u64,
     /// Decision tick until which each arm is banned (demotion).
@@ -158,147 +100,43 @@ pub struct SelectorModel {
     demote_applied: [bool; NARMS],
 }
 
-impl Default for SelectorModel {
-    fn default() -> Self {
-        Self {
-            classes: [ClassState::default(); NCLASSES],
-            decisions: 0,
-            banned_until: [0; NARMS],
-            demote_applied: [false; NARMS],
+impl SelectorModel {
+    /// The arms a decision at pair tick `now` may pick: eligible and
+    /// not banned — unless that leaves nothing, where the ban loses to
+    /// liveness.
+    fn open(&self, eligible: &[bool; NARMS], now: u64) -> [bool; NARMS] {
+        let open: [bool; NARMS] =
+            std::array::from_fn(|a| eligible[a] && self.banned_until[a] < now);
+        if open.contains(&true) {
+            open
+        } else {
+            *eligible
         }
     }
-}
 
-impl SelectorModel {
     /// Pick the arm for one transfer of `len` bytes. `eligible` masks
     /// arms the universe cannot serve (module absent, syscall missing);
     /// banned (demoted) arms are additionally skipped until their
-    /// window expires. Advances the exploration state — one call per
-    /// selection, never on a read-only path.
+    /// window expires. With nothing eligible at all the answer is arm 0
+    /// (`ShmCopy` always works). Advances the exploration state — one
+    /// call per selection, never on a read-only path.
     pub fn pick(&mut self, len: u64, eligible: &[bool; NARMS]) -> usize {
         self.decisions += 1;
-        let now = self.decisions;
-        let open: Vec<usize> = (0..NARMS)
-            .filter(|&a| eligible[a] && self.banned_until[a] < now)
-            .collect();
-        let open = if open.is_empty() {
-            // Everything eligible is banned: the ban loses to liveness.
-            (0..NARMS).filter(|&a| eligible[a]).collect()
-        } else {
-            open
-        };
-        let Some(&first) = open.first() else {
-            return 0; // nothing eligible at all: ShmCopy always works
-        };
-        let s = &mut self.classes[class_of(len)];
-        s.tick += 1;
-        // 1. Sweep, *depth-first*: an arm's probes run back-to-back,
-        // so its second sample measures the mechanism warm (the
-        // provisional first eats the cold-start and the cache state the
-        // previous arm left behind). A breadth-first sweep would hand
-        // every arm nothing but pollution-tainted samples while an
-        // eventual incumbent streams warm — the classic exploration
-        // bias of bandits over stateful systems. Bounded by picks so
-        // slow feedback cannot pin the sweep on one arm.
-        if let Some(&arm) = open
-            .iter()
-            .find(|&&a| s.cells[a].n < MIN_PROBE && s.cells[a].picked < 2 * MIN_PROBE)
-        {
-            s.cells[arm].picked += 1;
-            return arm;
-        }
-        // 3. Exponentially-spaced minority probe, in streaks of two for
-        // the same warm-second-sample reason.
-        if s.probe_streak > 0 {
-            s.probe_streak -= 1;
-            let arm = open[s.probe_cursor % open.len()];
-            s.cells[arm].picked += 1;
-            return arm;
-        }
-        if s.next_probe == 0 {
-            s.next_probe = s.tick + s.probe_interval;
-        } else if s.tick >= s.next_probe {
-            s.probe_interval = (s.probe_interval * 2).min(PROBE_CAP);
-            s.next_probe = s.tick + s.probe_interval;
-            s.probe_cursor = (s.probe_cursor + 1) % open.len();
-            s.probe_streak = 1;
-            let arm = open[s.probe_cursor];
-            s.cells[arm].picked += 1;
-            return arm;
-        }
-        // 2. Exploit: best EWMA with hysteresis for the incumbent.
-        let best = open
-            .iter()
-            .copied()
-            .max_by(|&a, &b| s.cells[a].bw.total_cmp(&s.cells[b].bw))
-            .unwrap_or(first);
-        let inc = s.incumbent;
-        let keep_incumbent =
-            inc < NARMS && open.contains(&inc) && s.cells[best].bw <= s.cells[inc].bw * HYSTERESIS;
-        if !keep_incumbent {
-            s.incumbent = best;
-        }
-        s.cells[s.incumbent].picked += 1;
-        s.incumbent
+        let open = self.open(eligible, self.decisions);
+        self.classes[class_of(len)].pick(&open)
     }
 
     /// What [`SelectorModel::pick`] would choose right now, without
     /// advancing any exploration state — the side-effect-free read
-    /// behind `Comm::try_select` (an inspection call must not burn
-    /// sweep picks whose rewards will never arrive). Probe scheduling
-    /// is ignored: the peek answers with the sweep candidate while the
-    /// sweep is open, the incumbent (or best cell) afterwards.
+    /// behind `Comm::try_select`.
     pub fn peek(&self, len: u64, eligible: &[bool; NARMS]) -> usize {
-        let now = self.decisions + 1;
-        let open: Vec<usize> = (0..NARMS)
-            .filter(|&a| eligible[a] && self.banned_until[a] < now)
-            .collect();
-        let open = if open.is_empty() {
-            (0..NARMS).filter(|&a| eligible[a]).collect()
-        } else {
-            open
-        };
-        let Some(&first) = open.first() else {
-            return 0;
-        };
-        let s = &self.classes[class_of(len)];
-        if let Some(&arm) = open
-            .iter()
-            .find(|&&a| s.cells[a].n < MIN_PROBE && s.cells[a].picked < 2 * MIN_PROBE)
-        {
-            return arm;
-        }
-        if s.incumbent < NARMS && open.contains(&s.incumbent) {
-            return s.incumbent;
-        }
-        open.iter()
-            .copied()
-            .max_by(|&a, &b| s.cells[a].bw.total_cmp(&s.cells[b].bw))
-            .unwrap_or(first)
+        self.classes[class_of(len)].peek(&self.open(eligible, self.decisions + 1))
     }
 
     /// Fold one completed transfer's achieved bandwidth into the arm's
     /// cell for the transfer's size class.
-    ///
-    /// An arm's *first* sample is provisional: it is stored (so an arm
-    /// that is only ever probed once still has an estimate) but fully
-    /// replaced by the second — the first use of a mechanism pays
-    /// cold-start costs (window tables, cache state, ring creation)
-    /// that would otherwise dominate the EWMA with `1 - ALPHA` weight
-    /// forever and mis-rank the arm (the same bias the chunk model
-    /// kills by skipping pipeline-fill chunks).
     pub fn observe(&mut self, arm: usize, bytes: u64, elapsed_ps: u64) {
-        if arm >= NARMS || bytes == 0 || elapsed_ps == 0 {
-            return;
-        }
-        let bw = bytes as f64 / elapsed_ps as f64;
-        let cell = &mut self.classes[class_of(bytes)].cells[arm];
-        cell.bw = if cell.n <= 1 {
-            bw
-        } else {
-            ALPHA * bw + (1.0 - ALPHA) * cell.bw
-        };
-        cell.n = cell.n.saturating_add(1);
+        self.classes[class_of(bytes)].observe(arm, bytes, elapsed_ps);
     }
 
     /// Demote an arm for [`DEMOTE_WINDOW`] decisions — applied at most
@@ -337,67 +175,28 @@ impl SelectorModel {
         }
     }
 
-    /// Placement-change decay: zero every cell's sample count (the
-    /// bandwidth estimate survives as a prior) and reset the probe
-    /// schedule, so the sweep re-probes every arm within
-    /// `arms × MIN_PROBE` decisions.
+    /// Placement-change decay of every class (see [`Bandit::decay`]).
     pub fn decay(&mut self) {
-        for s in &mut self.classes {
-            for c in &mut s.cells {
-                c.n = 0;
-                c.picked = 0;
-            }
-            s.next_probe = 0;
-            s.probe_interval = PROBE_START;
-            s.probe_streak = 0;
-            s.incumbent = usize::MAX;
-        }
+        self.classes.iter_mut().for_each(Bandit::decay);
     }
 
-    /// The arm's `(bandwidth EWMA, samples)` in a size class
-    /// (diagnostics, persistence and tests).
-    pub fn cell(&self, class: usize, arm: usize) -> (f64, u32) {
-        let c = self.classes[class.min(NCLASSES - 1)].cells[arm.min(NARMS - 1)];
-        (c.bw, c.n)
-    }
-
-    /// Serialize the learned cells as `class arm bw_bits n` tuples (the
-    /// tuner's snapshot embeds them; exploration clocks restart fresh).
-    pub(super) fn export_lines(&self, out: &mut String, src: usize, dst: usize) {
-        use std::fmt::Write as _;
-        for (ci, s) in self.classes.iter().enumerate() {
-            for (ai, c) in s.cells.iter().enumerate() {
-                if c.n > 0 {
-                    let _ = writeln!(
-                        out,
-                        "arm {src} {dst} {ci} {ai} {:#x} {}",
-                        c.bw.to_bits(),
-                        c.n
-                    );
-                }
-            }
-        }
-    }
-
-    /// Restore one exported cell (counted as picked too, so a
-    /// warm-started class exploits instead of re-sweeping). Non-finite
-    /// or negative bandwidths are rejected — a corrupt snapshot must
-    /// not plant a NaN that `total_cmp` would rank above every real
-    /// bandwidth and elect as a permanent incumbent.
+    /// Restore one exported cell (see [`Bandit::import_cell`]);
+    /// out-of-range classes are ignored.
     pub(super) fn import_cell(&mut self, class: usize, arm: usize, bw_bits: u64, n: u32) {
-        let bw = f64::from_bits(bw_bits);
-        if class < NCLASSES && arm < NARMS && bw.is_finite() && bw >= 0.0 {
-            self.classes[class].cells[arm] = Cell { bw, n, picked: n };
+        if let Some(b) = self.classes.get_mut(class) {
+            b.import_cell(arm, bw_bits, n);
         }
     }
 
     /// Mirror every sampled cell into `out` (the placement-prior
-    /// donation path — a plain `(bw_bits, n)` memcpy, no allocation).
+    /// donation path and the snapshot export — a plain `(bw_bits, n)`
+    /// memcpy, no allocation).
     pub(super) fn copy_cells(&self, out: &mut CellGrid) {
-        for (ci, s) in self.classes.iter().enumerate() {
-            for (ai, c) in s.cells.iter().enumerate() {
-                if c.n > 0 {
-                    out[ci][ai] = (c.bw.to_bits(), c.n);
+        for (b, row) in self.classes.iter().zip(out) {
+            for (arm, slot) in row.iter_mut().enumerate() {
+                let (bw, n) = b.cell(arm);
+                if n > 0 {
+                    *slot = (bw.to_bits(), n);
                 }
             }
         }
@@ -409,195 +208,47 @@ impl SelectorModel {
     /// cells count as picked, so the sweep skips straight to exploiting
     /// the sibling's incumbent.
     pub(super) fn seed_cells(&mut self, grid: &CellGrid) {
-        for (ci, row) in grid.iter().enumerate() {
-            for (ai, &(bits, n)) in row.iter().enumerate() {
-                if n > 0 && self.classes[ci].cells[ai].n == 0 {
-                    self.import_cell(ci, ai, bits, n);
+        for (b, row) in self.classes.iter_mut().zip(grid) {
+            for (arm, &(bits, n)) in row.iter().enumerate() {
+                if n > 0 && b.cell(arm).1 == 0 {
+                    b.import_cell(arm, bits, n);
                 }
             }
         }
     }
 }
 
-/// The collective operations whose algorithm choice is learned. Each
-/// gets its own bandit cells: a group size where the chain bcast wins
-/// says nothing about the scattered alltoall.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollKind {
-    Bcast,
-    Reduce,
-    Allgather,
-    Alltoall,
-}
-
-impl CollKind {
-    /// Stable code (snapshot lines and cell indexing).
-    pub fn code(self) -> usize {
-        match self {
-            CollKind::Bcast => 0,
-            CollKind::Reduce => 1,
-            CollKind::Allgather => 2,
-            CollKind::Alltoall => 3,
-        }
-    }
-
-    /// Inverse of [`CollKind::code`].
-    pub fn from_code(c: usize) -> Option<Self> {
-        Some(match c {
-            0 => CollKind::Bcast,
-            1 => CollKind::Reduce,
-            2 => CollKind::Allgather,
-            3 => CollKind::Alltoall,
-            _ => return None,
-        })
-    }
-
-    /// Report label.
-    pub fn label(self) -> &'static str {
-        match self {
-            CollKind::Bcast => "bcast",
-            CollKind::Reduce => "reduce",
-            CollKind::Allgather => "allgather",
-            CollKind::Alltoall => "alltoall",
-        }
-    }
-}
-
-/// Number of learned collective kinds.
-pub const COLL_KINDS: usize = 4;
-/// Algorithm arms per collective (0 = the classic fixed algorithm,
-/// 1 = the alternate family — see `crate::coll`).
-pub const COLL_ARMS: usize = 2;
-/// Group-size classes: 2, 3–4, 5–8, 9+ members. Algorithm crossovers
-/// move with the participant count (a chain bcast amortizes its
-/// pipeline fill over long chains; Bruck's log rounds only beat the
-/// ring once the ring is long), so the cells split on it.
-pub const COLL_GCLASSES: usize = 4;
-
-/// The group-size class of a member count.
-pub fn gclass_of(n: usize) -> usize {
-    match n {
-        0..=2 => 0,
-        3..=4 => 1,
-        5..=8 => 2,
-        _ => 3,
-    }
-}
-
-/// Message classes for collectives start at 2^10 (collectives run far
-/// below the rendezvous switchover too — a 1-byte barrier token and a
-/// 1 MiB bcast must not share a cell).
-const COLL_CLASS_BASE: u32 = 10;
-
-/// The collective message class of a per-peer block length.
-pub fn coll_class_of(bytes: u64) -> usize {
-    let lg = if bytes == 0 { 0 } else { bytes.ilog2() };
-    (lg.saturating_sub(COLL_CLASS_BASE) as usize).min(NCLASSES - 1)
-}
-
 /// Memoized `(group id, op sequence) → arm` entries per cell — enough
 /// for a few groups of the same shape interleaving their operations.
 const COLL_MEMO: usize = 4;
 
-/// One (kind, group-size class, message class) cell of the collective
-/// algorithm bandit: the same compact sweep → probe-streak →
-/// exponential-probe → exploit-with-hysteresis skeleton as
-/// [`SelectorModel`], over [`COLL_ARMS`] arms.
-#[derive(Clone, Copy)]
-struct CollClass {
-    cells: [Cell; COLL_ARMS],
-    tick: u64,
-    next_probe: u64,
-    probe_interval: u64,
-    probe_cursor: usize,
-    probe_streak: u8,
-    incumbent: usize,
-    /// `(group id, op sequence, arm)` memo ring (`gid` −1 = empty):
-    /// the first group member to select for a given operation runs the
-    /// real pick; every later member of the *same* operation reads the
-    /// memo, so all members run the same algorithm regardless of which
-    /// rank's selection executed first.
-    memo: [(i32, i32, u8); COLL_MEMO],
-    memo_cursor: usize,
-}
+/// One cell's `(group id, op sequence, arm)` memo ring (`gid` −1 =
+/// empty) and its cursor.
+type Memo = ([(i32, i32, u8); COLL_MEMO], usize);
 
-impl Default for CollClass {
-    fn default() -> Self {
-        Self {
-            cells: [Cell::default(); COLL_ARMS],
-            tick: 0,
-            next_probe: 0,
-            probe_interval: PROBE_START,
-            probe_cursor: 0,
-            probe_streak: 0,
-            incumbent: usize::MAX,
-            memo: [(-1, 0, 0); COLL_MEMO],
-            memo_cursor: 0,
-        }
-    }
-}
-
-impl CollClass {
-    /// One real bandit decision (the memo layer sits above this).
-    fn pick(&mut self) -> usize {
-        self.tick += 1;
-        if let Some(arm) = (0..COLL_ARMS)
-            .find(|&a| self.cells[a].n < MIN_PROBE && self.cells[a].picked < 2 * MIN_PROBE)
-        {
-            self.cells[arm].picked += 1;
-            return arm;
-        }
-        if self.probe_streak > 0 {
-            self.probe_streak -= 1;
-            let arm = self.probe_cursor % COLL_ARMS;
-            self.cells[arm].picked += 1;
-            return arm;
-        }
-        if self.next_probe == 0 {
-            self.next_probe = self.tick + self.probe_interval;
-        } else if self.tick >= self.next_probe {
-            self.probe_interval = (self.probe_interval * 2).min(PROBE_CAP);
-            self.next_probe = self.tick + self.probe_interval;
-            self.probe_cursor = (self.probe_cursor + 1) % COLL_ARMS;
-            self.probe_streak = 1;
-            let arm = self.probe_cursor;
-            self.cells[arm].picked += 1;
-            return arm;
-        }
-        let best = (0..COLL_ARMS)
-            .max_by(|&a, &b| self.cells[a].bw.total_cmp(&self.cells[b].bw))
-            .unwrap_or(0);
-        let inc = self.incumbent;
-        let keep = inc < COLL_ARMS && self.cells[best].bw <= self.cells[inc].bw * HYSTERESIS;
-        if !keep {
-            self.incumbent = best;
-        }
-        self.cells[self.incumbent].picked += 1;
-        self.incumbent
-    }
-}
-
-/// The collective algorithm bandit: one universe-global model (not per
-/// pair — a collective involves a whole group), keyed by (collective
-/// kind, group-size class, message class), with two arms per cell.
+/// The collective algorithm bandit: one universe-global
+/// [`CollGrid`] plus the sim-side agreement memo.
 ///
 /// **Cross-rank consistency.** Every group member must run the same
 /// algorithm for the same operation, but the members' selection calls
 /// interleave arbitrarily through the shared tuner. Selections are
 /// therefore memoized per `(group id, op sequence)`: the first caller
 /// runs the real bandit decision and caches it; peers hitting the same
-/// key read the cached arm. Sequence counters advance identically on
-/// every member (groups sequence their own operations — see
+/// key read the cached arm, regardless of which rank's selection
+/// executed first. Sequence counters advance identically on every
+/// member (groups sequence their own operations — see
 /// `crate::coll::CommGroup`), so the key agrees across ranks by
 /// construction.
 pub struct CollAlgModel {
-    classes: [[[CollClass; NCLASSES]; COLL_GCLASSES]; COLL_KINDS],
+    pub(super) grid: CollGrid,
+    memo: [Memo; COLL_SLOTS],
 }
 
 impl Default for CollAlgModel {
     fn default() -> Self {
         Self {
-            classes: [[[CollClass::default(); NCLASSES]; COLL_GCLASSES]; COLL_KINDS],
+            grid: CollGrid::default(),
+            memo: [([(-1, 0, 0); COLL_MEMO], 0); COLL_SLOTS],
         }
     }
 }
@@ -614,98 +265,15 @@ impl CollAlgModel {
         gid: i32,
         seq: i32,
     ) -> usize {
-        let s = &mut self.classes[kind.code()][gclass_of(gsize)][coll_class_of(bytes)];
-        if let Some(&(_, _, arm)) = s.memo.iter().find(|&&(g, q, _)| g == gid && q == seq) {
+        let slot = slot_of(kind, gsize, bytes);
+        let (ring, cursor) = &mut self.memo[slot];
+        if let Some(&(_, _, arm)) = ring.iter().find(|&&(g, q, _)| g == gid && q == seq) {
             return arm as usize;
         }
-        let arm = s.pick();
-        s.memo[s.memo_cursor] = (gid, seq, arm as u8);
-        s.memo_cursor = (s.memo_cursor + 1) % COLL_MEMO;
+        let arm = self.grid.pick(slot);
+        ring[*cursor] = (gid, seq, arm as u8);
+        *cursor = (*cursor + 1) % COLL_MEMO;
         arm
-    }
-
-    /// Fold one completed operation's achieved bandwidth into the
-    /// arm's cell. `msg_bytes` classes the cell (the per-peer block
-    /// length the caller selected with); `moved_bytes / elapsed_ps` is
-    /// the reward. First samples are provisional, exactly as in
-    /// [`SelectorModel::observe`].
-    pub fn observe(
-        &mut self,
-        kind: CollKind,
-        gsize: usize,
-        msg_bytes: u64,
-        arm: usize,
-        moved_bytes: u64,
-        elapsed_ps: u64,
-    ) {
-        if arm >= COLL_ARMS || moved_bytes == 0 || elapsed_ps == 0 {
-            return;
-        }
-        let bw = moved_bytes as f64 / elapsed_ps as f64;
-        let cell =
-            &mut self.classes[kind.code()][gclass_of(gsize)][coll_class_of(msg_bytes)].cells[arm];
-        cell.bw = if cell.n <= 1 {
-            bw
-        } else {
-            ALPHA * bw + (1.0 - ALPHA) * cell.bw
-        };
-        cell.n = cell.n.saturating_add(1);
-    }
-
-    /// The arm's `(bandwidth EWMA, samples)` for a (kind, group size,
-    /// message length) — diagnostics, persistence and tests.
-    pub fn cell(&self, kind: CollKind, gsize: usize, msg_bytes: u64, arm: usize) -> (f64, u32) {
-        let c = self.classes[kind.code()][gclass_of(gsize)][coll_class_of(msg_bytes)].cells
-            [arm.min(COLL_ARMS - 1)];
-        (c.bw, c.n)
-    }
-
-    /// Serialize the sampled cells as
-    /// `coll kind gclass mclass arm bw_bits n` lines (the tuner
-    /// snapshot embeds them; exploration clocks and memos restart
-    /// fresh).
-    pub(super) fn export_lines(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        for (k, kinds) in self.classes.iter().enumerate() {
-            for (g, gclasses) in kinds.iter().enumerate() {
-                for (c, class) in gclasses.iter().enumerate() {
-                    for (a, cell) in class.cells.iter().enumerate() {
-                        if cell.n > 0 {
-                            let _ = writeln!(
-                                out,
-                                "coll {k} {g} {c} {a} {:#x} {}",
-                                cell.bw.to_bits(),
-                                cell.n
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Restore one exported cell (counted as picked, so a warm-started
-    /// cell exploits instead of re-sweeping). Non-finite or negative
-    /// bandwidths are rejected, as in [`SelectorModel::import_cell`].
-    pub(super) fn import_cell(
-        &mut self,
-        kind: usize,
-        gclass: usize,
-        mclass: usize,
-        arm: usize,
-        bw_bits: u64,
-        n: u32,
-    ) {
-        let bw = f64::from_bits(bw_bits);
-        if kind < COLL_KINDS
-            && gclass < COLL_GCLASSES
-            && mclass < NCLASSES
-            && arm < COLL_ARMS
-            && bw.is_finite()
-            && bw >= 0.0
-        {
-            self.classes[kind][gclass][mclass].cells[arm] = Cell { bw, n, picked: n };
-        }
     }
 }
 
@@ -724,31 +292,6 @@ mod tests {
                 m.observe(arm, 1 << 20, ps);
             }
         }
-    }
-
-    #[test]
-    fn sweep_probes_every_arm_before_exploiting() {
-        let mut m = SelectorModel::default();
-        let mut seen = [0u32; NARMS];
-        for _ in 0..NARMS as u32 * MIN_PROBE {
-            let a = m.pick(1 << 20, &ALL);
-            seen[a] += 1;
-            m.observe(a, 1 << 20, 1 << 20);
-        }
-        assert_eq!(seen, [MIN_PROBE; NARMS], "sweep must cover every arm");
-    }
-
-    #[test]
-    fn converges_on_the_best_arm_and_probes_become_rare() {
-        let mut m = SelectorModel::default();
-        teach(&mut m, 4, 4);
-        let picks: Vec<usize> = (0..200).map(|_| m.pick(1 << 20, &ALL)).collect();
-        let minority = picks.iter().filter(|&&a| a != 4).count();
-        assert!(
-            minority <= 6,
-            "expected rare probes after convergence, got {minority}/200 minority picks"
-        );
-        assert_eq!(*picks.last().unwrap(), 4);
     }
 
     #[test]
@@ -799,26 +342,6 @@ mod tests {
         // Mid-sweep, the peek reports the sweep candidate.
         let fresh = SelectorModel::default();
         assert_eq!(fresh.peek(1 << 20, &ALL), 0);
-    }
-
-    #[test]
-    fn decay_forces_a_full_resweep() {
-        let mut m = SelectorModel::default();
-        teach(&mut m, 2, 4);
-        for _ in 0..50 {
-            m.pick(1 << 20, &ALL);
-        }
-        m.decay();
-        let mut seen = [false; NARMS];
-        for _ in 0..NARMS as u32 * MIN_PROBE {
-            let a = m.pick(1 << 20, &ALL);
-            seen[a] = true;
-            m.observe(a, 1 << 20, 1 << 20);
-        }
-        assert!(
-            seen.iter().all(|&s| s),
-            "every arm must be re-probed within arms x MIN_PROBE observed transfers of a decay"
-        );
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! hysteresis band — so a noisy tie near the boundary cannot make the
 //! receive mode flap.
 
+use nemesis_model::{log2_class, Ewma};
+
 use super::TransferClass;
 
 /// Size classes cover 2^10 (1 KiB) .. 2^(10+NCLASSES-1); transfers
@@ -24,9 +26,6 @@ const NCLASSES: usize = 16;
 /// part in the crossover scan.
 const MIN_SAMPLES: u32 = 2;
 
-/// EWMA smoothing factor for per-cell bandwidth.
-const ALPHA: f64 = 0.25;
-
 /// Smoothing factor for the log-space crossover estimate.
 const T_ALPHA: f64 = 0.5;
 
@@ -34,32 +33,11 @@ const T_ALPHA: f64 = 0.5;
 /// factor from the published value (hysteresis).
 const HYSTERESIS: f64 = 1.1;
 
-#[derive(Default, Clone, Copy)]
-struct Cell {
-    /// EWMA bandwidth in bytes per picosecond.
-    bw: f64,
-    n: u32,
-}
-
-impl Cell {
-    fn observe(&mut self, bw: f64) {
-        self.bw = if self.n == 0 {
-            bw
-        } else {
-            ALPHA * bw + (1.0 - ALPHA) * self.bw
-        };
-        self.n += 1;
-    }
-
-    fn ready(&self) -> bool {
-        self.n >= MIN_SAMPLES
-    }
-}
-
 /// Per-pair crossover state (lives behind the tuner's per-pair mutex).
+#[derive(Default)]
 pub struct CrossoverModel {
-    copy: [Cell; NCLASSES],
-    offload: [Cell; NCLASSES],
+    copy: [Ewma; NCLASSES],
+    offload: [Ewma; NCLASSES],
     /// Log2 of the smoothed crossover estimate; `None` until the scan
     /// first finds a boundary.
     smoothed_log2: Option<f64>,
@@ -67,28 +45,12 @@ pub struct CrossoverModel {
     published: u64,
 }
 
-impl Default for CrossoverModel {
-    fn default() -> Self {
-        Self {
-            copy: [Cell::default(); NCLASSES],
-            offload: [Cell::default(); NCLASSES],
-            smoothed_log2: None,
-            published: 0,
-        }
-    }
-}
-
-fn class_of(bytes: u64) -> usize {
-    let lg = if bytes == 0 { 0 } else { bytes.ilog2() };
-    (lg.saturating_sub(CLASS_BASE) as usize).min(NCLASSES - 1)
-}
-
 impl CrossoverModel {
     /// Fold one transfer observation into its (class, mechanism) cell
     /// and refresh the crossover estimate.
     pub fn observe(&mut self, class: TransferClass, bytes: u64, elapsed_ps: u64) {
         let bw = bytes as f64 / elapsed_ps as f64;
-        let c = class_of(bytes);
+        let c = log2_class(bytes, CLASS_BASE, NCLASSES);
         match class {
             TransferClass::Copy => self.copy[c].observe(bw),
             TransferClass::Offload => self.offload[c].observe(bw),
@@ -116,7 +78,7 @@ impl CrossoverModel {
         let mut last_copy_win: Option<usize> = None;
         let mut first_offload_win: Option<usize> = None;
         for c in 0..NCLASSES {
-            if !(self.copy[c].ready() && self.offload[c].ready()) {
+            if self.copy[c].n < MIN_SAMPLES || self.offload[c].n < MIN_SAMPLES {
                 continue;
             }
             if self.offload[c].bw > self.copy[c].bw {

@@ -1,6 +1,6 @@
 //! Collective operations over the real-thread runtime ([`RtComm`]).
 //!
-//! The algorithms mirror `nemesis-core::coll` so the same communication
+//! The algorithms follow `nemesis-core::coll` so the same communication
 //! patterns the paper benchmarks (§4.4) also run on real threads, and —
 //! like the simulated stack — every collective here runs over a
 //! **group** ([`RtGroup`]): a subcommunicator holding a world-rank
@@ -13,8 +13,9 @@
 //! choice, arm 1 = an alternate with a different latency/bandwidth
 //! trade-off):
 //!
-//! * bcast: binomial tree vs a segmented chain (segments sized to the
-//!   eager cutoff so forwarding pipelines without rendezvous stalls);
+//! * bcast: binomial tree vs a segmented chain (rendezvous-sized
+//!   segments, so each hop forwards one segment while the next arrives
+//!   and no hop can outrun its successor);
 //! * reduce: binomial tree vs linear fold at the root (contributions
 //!   folded in ascending group-rank order, so results are pinned for
 //!   non-commutative-safe operators);
@@ -37,7 +38,6 @@
 //! concurrent collectives on overlapping groups from cross-matching
 //! while per-`(src, tag)` FIFO matching disambiguates repeats.
 
-use std::cell::Cell;
 use std::time::Instant;
 
 use crate::comm::{RtComm, EAGER_MAX};
@@ -86,115 +86,17 @@ impl RtCollAlg {
     }
 }
 
-/// A subcommunicator: an ordered set of world ranks. Group rank `i` is
-/// the rank that `ranks[i]` plays inside the group; collectives over a
-/// group touch only its members.
-///
-/// Groups are plain per-thread values — every member thread builds its
-/// own copy from the same rank list inside the `run_rt` body. The
-/// 6-bit id (a hash of the member list) and the per-group operation
-/// sequence number are deterministic functions of that list and the
-/// call history, so all members derive identical collective tags
-/// without sharing state.
-#[derive(Debug)]
-pub struct RtGroup {
-    /// `None` = the universe 0..n (identity translation, no table).
-    ranks: Option<Vec<usize>>,
-    n: usize,
-    id: i32,
-    /// Per-group collective sequence number, taken at operation start.
-    seq: Cell<i32>,
-}
+/// A subcommunicator: an ordered set of world ranks — the same
+/// [`Group`](nemesis_model::Group) the simulated stack's collectives
+/// run over. Groups are plain per-thread values: every member thread
+/// builds its own copy from the same rank list inside the `run_rt`
+/// body, and the 6-bit id and the per-group operation sequence number
+/// are deterministic functions of that list and the call history, so
+/// all members derive identical collective tags without sharing state.
+pub use nemesis_model::Group as RtGroup;
 
-impl RtGroup {
-    /// The universe group over world ranks `0..n`.
-    pub fn universe(n: usize) -> Self {
-        assert!(n > 0, "empty universe group");
-        Self {
-            ranks: None,
-            n,
-            id: 0,
-            seq: Cell::new(0),
-        }
-    }
-
-    /// A proper subgroup from an ordered, duplicate-free world-rank
-    /// list. The id is a 6-bit FNV fold of the list (1..=63, so it can
-    /// never collide with the universe's 0).
-    pub fn new(ranks: &[usize]) -> Self {
-        assert!(!ranks.is_empty(), "empty group");
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for (i, &r) in ranks.iter().enumerate() {
-            assert!(
-                !ranks[..i].contains(&r),
-                "duplicate world rank {r} in group"
-            );
-            h ^= r as u64 + 1;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Self {
-            n: ranks.len(),
-            ranks: Some(ranks.to_vec()),
-            id: ((h % 63) + 1) as i32,
-            seq: Cell::new(0),
-        }
-    }
-
-    /// Number of members.
-    pub fn size(&self) -> usize {
-        self.n
-    }
-
-    /// The group's 6-bit tag-space id.
-    pub fn id(&self) -> i32 {
-        self.id
-    }
-
-    /// Whether this is the identity (universe) group.
-    pub fn is_universe(&self) -> bool {
-        self.ranks.is_none()
-    }
-
-    /// Group rank → world rank. Panics if `gr` is out of bounds.
-    pub fn world_rank(&self, gr: usize) -> usize {
-        match &self.ranks {
-            None => {
-                assert!(gr < self.n, "group rank {gr} out of bounds");
-                gr
-            }
-            Some(rs) => rs[gr],
-        }
-    }
-
-    /// World rank → group rank, or `None` for non-members.
-    pub fn group_rank(&self, wr: usize) -> Option<usize> {
-        match &self.ranks {
-            None => (wr < self.n).then_some(wr),
-            Some(rs) => rs.iter().position(|&r| r == wr),
-        }
-    }
-
-    /// Whether the world rank is a member.
-    pub fn contains(&self, wr: usize) -> bool {
-        self.group_rank(wr).is_some()
-    }
-
-    /// The member list in group-rank order.
-    pub fn world_ranks(&self) -> Vec<usize> {
-        match &self.ranks {
-            None => (0..self.n).collect(),
-            Some(rs) => rs.clone(),
-        }
-    }
-
-    fn next_seq(&self) -> i32 {
-        let s = self.seq.get();
-        self.seq.set((s + 1) & 0x3FF);
-        s
-    }
-}
-
-/// The tag for one phase of one collective operation on a group.
+/// The tag for one phase of one collective operation on a group (the
+/// group's 14-bit sequence counter is cut to this layout's 10 bits).
 fn gtag(g: &RtGroup, seq: i32, phase: i32) -> i32 {
     COLL_TAG_BASE + ((g.id() & 0x3F) << 18) + ((seq & 0x3FF) << 8) + phase
 }
@@ -316,8 +218,17 @@ fn bcast_binomial(
     }
 }
 
+/// Chain-bcast segment size — past the eager cutoff on purpose. An
+/// eager segment holds a cell of the *shared* pool until the next hop
+/// receives it, and a forwarder needs a cell to send on: a hop that
+/// runs ahead (its successor descheduled) parks every cell in the
+/// successor's queue, and the successor then waits forever for a cell
+/// only its own receives could free. A rendezvous segment holds no
+/// cell and paces each hop to its successor.
+const CHAIN_SEG: usize = 4 * EAGER_MAX;
+
 /// Chain broadcast: the group is one line rooted at `root`, and the
-/// payload moves down it in eager-sized segments so each hop forwards
+/// payload moves down it in [`CHAIN_SEG`] segments so each hop forwards
 /// a segment while receiving the next — dependency edges only point
 /// down the chain, so blocking sends cannot cycle.
 fn bcast_chain(comm: &mut RtComm, g: &RtGroup, gr: usize, root: usize, tag: i32, data: &mut [u8]) {
@@ -325,10 +236,9 @@ fn bcast_chain(comm: &mut RtComm, g: &RtGroup, gr: usize, root: usize, tag: i32,
     let pos = (gr + gn - root) % gn;
     let pred = (pos > 0).then(|| g.world_rank((gr + gn - 1) % gn));
     let succ = (pos + 1 < gn).then(|| g.world_rank((gr + 1) % gn));
-    let seg = EAGER_MAX.max(1);
     let mut off = 0;
     while off < data.len() {
-        let l = seg.min(data.len() - off);
+        let l = CHAIN_SEG.min(data.len() - off);
         if let Some(p) = pred {
             comm.recv(Some(p), Some(tag), &mut data[off..off + l]);
         }
@@ -856,6 +766,29 @@ mod tests {
             coll_alg: alg,
             ..RtConfig::default()
         }
+    }
+
+    /// Regression: with eager-sized chain segments a hop that ran
+    /// ahead parked every pooled cell in its successor's queue and the
+    /// successor spun forever waiting for one to forward with. A
+    /// two-cell pool made that near-certain; the chain must not depend
+    /// on the pool's depth.
+    #[test]
+    fn chain_bcast_survives_a_starved_cell_pool() {
+        let cfg = RtConfig {
+            cells: 2,
+            ..alt_cfg(RtCollAlg::Alternate)
+        };
+        run_rt_cfg(4, RtLmt::Direct, cfg, |comm| {
+            for round in 0..4u8 {
+                let mut data = vec![0u8; (1 << 20) + 77];
+                if comm.rank() == 3 {
+                    data.fill(round + 1);
+                }
+                bcast(comm, 3, &mut data);
+                assert!(data.iter().all(|&b| b == round + 1), "round {round}");
+            }
+        });
     }
 
     #[test]

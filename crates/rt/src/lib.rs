@@ -21,10 +21,10 @@
 //!   the same backend vocabulary the simulated stack uses
 //!   (`nemesis_core::lmt::LmtBackend`), so `comm` drives transfers
 //!   without naming a strategy.
-//! * [`tuner`] — the wall-clock mirror of the simulated stack's learned
-//!   policy state (`nemesis_core::lmt::tuner`): per-pair chunk sweet
-//!   spots learned from observed per-chunk times, and per-transfer
-//!   samples recorded at every rendezvous completion.
+//! * [`tuner`] — the learned policy state, fed wall-clock samples: the
+//!   `nemesis-model` models the simulated tuner also runs (per-pair
+//!   chunk sweet spots from observed per-chunk times, the backend and
+//!   collective bandits) plus the host-only NT-store crossover.
 
 //! * [`comm`] — a miniature message-passing runtime tying the pieces
 //!   together: rank-threads with MPSC receive queues, eager cells, and a

@@ -1,9 +1,8 @@
-//! The real-thread transfer tuner — the rt mirror of
-//! `nemesis_core::lmt::tuner`.
+//! The real-thread transfer tuner.
 //!
-//! The simulated tuner learns from virtual-time samples; this one
-//! learns from wall-clock timings on the host machine, per directed
-//! rank pair: every rendezvous completion records an
+//! The simulated tuner (`nemesis_core::lmt::tuner`) learns from
+//! virtual-time samples; this one learns from wall-clock timings on the
+//! host machine, per directed rank pair: every rendezvous completion records an
 //! [`RtTransferSample`], and the double-buffer ring (when driven by the
 //! `Learned` schedule) records each fully-absorbed chunk's timing. The
 //! published decisions are plain atomics — a pipe reads its learned
@@ -11,18 +10,25 @@
 //! same hot-path contract `tests/queue_alloc.rs` enforces on the queue
 //! paths).
 //!
-//! The two stacks deliberately share vocabulary, not code: the rt crate
-//! does not depend on `nemesis-core`, so the small EWMA chunk model is
-//! mirrored here in nanoseconds rather than simulated picoseconds.
+//! The clock-free models — the EWMA cell, the backend and collective
+//! bandits, the chunk model — are `nemesis-model`'s, the same code the
+//! simulated tuner runs, fed nanoseconds here. What lives in this file
+//! is host-side: the verdict-based NT crossover and its per-socket
+//! prior, the LLC probe, and the atomics and locks that publish the
+//! decisions to rank threads.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use nemesis_model::coll::slot_of;
+use nemesis_model::{explore_flip, log2_class, Bandit, ChunkModel, CollGrid, Ewma};
 use parking_lot::{Mutex, RwLock};
 
-/// Which chunk schedule the double-buffer ring pipelines with — the rt
-/// mirror of `nemesis_core::ChunkScheduleSelect`.
+pub use nemesis_model::{CollKind as RtCollKind, COLL_ARMS as RT_COLL_ARMS};
+
+/// Which chunk schedule the double-buffer ring pipelines with (the
+/// host-side counterpart of `nemesis_core::ChunkScheduleSelect`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RtChunkScheduleSelect {
     /// Geometric growth from the start chunk to the slot capacity.
@@ -47,13 +53,6 @@ pub struct RtTransferSample {
     /// Wall-clock receive time in nanoseconds.
     pub nanos: u64,
 }
-
-/// Chunk classes cover 2^9 (512 B) .. 2^(9+NCLASSES-1) = 1 MiB.
-const CLASS_BASE: u32 = 9;
-const NCLASSES: usize = 12;
-const MIN_SAMPLES: u32 = 3;
-const ALPHA: f64 = 0.25;
-const HYSTERESIS: f64 = 1.05;
 
 /// The host's last-level cache size in bytes — the prior for the
 /// temporal-vs-streaming-store threshold (a destination below it fits
@@ -94,71 +93,21 @@ fn probe_llc_size() -> Option<usize> {
     best.map(|(_, b)| b)
 }
 
-fn class_of(bytes: usize) -> usize {
-    let lg = if bytes == 0 { 0 } else { bytes.ilog2() };
-    (lg.saturating_sub(CLASS_BASE) as usize).min(NCLASSES - 1)
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct Cell {
-    /// EWMA throughput in bytes per nanosecond.
-    bw: f64,
-    n: u32,
-}
-
-#[derive(Debug, Default)]
-struct ChunkModel {
-    cells: [Cell; NCLASSES],
-    published: Option<usize>,
-}
-
-impl ChunkModel {
-    fn observe(&mut self, bytes: usize, nanos: u64) -> Option<usize> {
-        let c = class_of(bytes);
-        let bw = bytes as f64 / nanos as f64;
-        let cell = &mut self.cells[c];
-        cell.bw = if cell.n == 0 {
-            bw
-        } else {
-            ALPHA * bw + (1.0 - ALPHA) * cell.bw
-        };
-        cell.n += 1;
-        let best = (0..NCLASSES)
-            .filter(|&i| self.cells[i].n >= MIN_SAMPLES)
-            .max_by(|&a, &b| self.cells[a].bw.total_cmp(&self.cells[b].bw))?;
-        let unseat = match self.published {
-            None => true,
-            Some(inc) => self.cells[best].bw > self.cells[inc].bw * HYSTERESIS,
-        };
-        if unseat {
-            self.published = Some(best);
-        }
-        self.published.map(|c| 1usize << (CLASS_BASE + c as u32))
-    }
-}
-
 /// NT (streaming-store) crossover classes cover 2^16 (64 KiB) ..
 /// 2^(16+NT_NCLASSES-1) = 128 MiB — the band where a destination
 /// plausibly stops fitting in cache on any host.
 const NT_CLASS_BASE: u32 = 16;
 const NT_NCLASSES: usize = 12;
+/// Samples each flavour needs in a class before it gets a verdict.
+const NT_MIN_SAMPLES: u32 = 3;
 /// A flavour must lead by 10% to flip a class's verdict — EWMA wobble
 /// inside the band keeps the previous verdict (and the published
 /// threshold) sticky.
 const NT_HYSTERESIS: f64 = 1.1;
-/// Every 8th decision whose length falls within [T/4, 4T) runs the
-/// *other* flavour, keeping both sides of the crossover sampled so the
-/// threshold can track regime changes.
-const NT_EXPLORE_PERIOD: usize = 8;
 /// Published when temporal wins at every sampled class: one class above
 /// the model's range (256 MiB), NOT `usize::MAX` — the explore band
 /// around it stays reachable, so huge transfers keep re-probing NT.
 const NT_SENTINEL: usize = 1 << (NT_CLASS_BASE + NT_NCLASSES as u32);
-
-fn nt_class_of(bytes: usize) -> usize {
-    let lg = if bytes == 0 { 0 } else { bytes.ilog2() };
-    (lg.saturating_sub(NT_CLASS_BASE) as usize).min(NT_NCLASSES - 1)
-}
 
 /// Temporal-vs-streaming-store crossover learner: per size class, an
 /// EWMA bandwidth for each store flavour and a sticky verdict. The
@@ -166,8 +115,8 @@ fn nt_class_of(bytes: usize) -> usize {
 /// streaming stores win.
 #[derive(Debug, Default)]
 struct NtModel {
-    temporal: [Cell; NT_NCLASSES],
-    nt: [Cell; NT_NCLASSES],
+    temporal: [Ewma; NT_NCLASSES],
+    nt: [Ewma; NT_NCLASSES],
     /// +1 = NT wins here, -1 = temporal wins, 0 = undecided.
     verdict: [i8; NT_NCLASSES],
 }
@@ -176,21 +125,15 @@ impl NtModel {
     /// Fold one timed copy in and return the threshold to publish
     /// (0 = nothing decided anywhere yet).
     fn observe(&mut self, nt: bool, bytes: usize, nanos: u64) -> usize {
-        let c = nt_class_of(bytes);
-        let bw = bytes as f64 / nanos as f64;
+        let c = log2_class(bytes as u64, NT_CLASS_BASE, NT_NCLASSES);
         let cell = if nt {
             &mut self.nt[c]
         } else {
             &mut self.temporal[c]
         };
-        cell.bw = if cell.n == 0 {
-            bw
-        } else {
-            ALPHA * bw + (1.0 - ALPHA) * cell.bw
-        };
-        cell.n += 1;
+        cell.observe(bytes as f64 / nanos as f64);
         let (t, n) = (self.temporal[c], self.nt[c]);
-        if t.n >= MIN_SAMPLES && n.n >= MIN_SAMPLES {
+        if t.n >= NT_MIN_SAMPLES && n.n >= NT_MIN_SAMPLES {
             if n.bw > t.bw * NT_HYSTERESIS {
                 self.verdict[c] = 1;
             } else if t.bw > n.bw * NT_HYSTERESIS {
@@ -272,13 +215,6 @@ pub struct RtPairTune {
 }
 
 impl RtPairTune {
-    /// A standalone cell with no socket back-pointer (unit tests; real
-    /// cells are built by [`RtTuner::pair`] with the cell installed).
-    #[cfg(test)]
-    fn new() -> Self {
-        Self::with_socket_nt(None)
-    }
-
     fn with_socket_nt(socket_nt: Option<Arc<SocketNtPrior>>) -> Self {
         Self {
             target: AtomicUsize::new(0),
@@ -305,8 +241,10 @@ impl RtPairTune {
         if bytes == 0 || nanos == 0 {
             return;
         }
-        if let Some(t) = self.chunk_model.lock().observe(bytes, nanos) {
-            self.target.store(t, Ordering::Relaxed);
+        let mut model = self.chunk_model.lock();
+        model.observe(bytes as u64, nanos);
+        if let Some(t) = model.sweet_spot() {
+            self.target.store(t as usize, Ordering::Relaxed);
         }
     }
 
@@ -381,25 +319,17 @@ impl RtPairTune {
     }
 
     /// Should a `len`-byte ring→user copy use streaming stores? By
-    /// threshold, except every [`NT_EXPLORE_PERIOD`]th decision whose
-    /// length lands within [T/4, 4T) runs the opposite flavour so the
-    /// model keeps seeing both sides of the crossover. Out-of-band
-    /// lengths never explore — the answer there is not in doubt.
+    /// threshold, except that in-band decisions periodically run the
+    /// opposite flavour ([`explore_flip`]) so the model keeps seeing
+    /// both sides of the crossover.
     pub fn nt_decision(&self, len: usize, prior: usize) -> bool {
         let t = self.nt_threshold(prior);
-        let by_threshold = len >= t;
-        if len >= t / 4 && len < t.saturating_mul(4) {
-            let k = self.nt_explore.fetch_add(1, Ordering::Relaxed);
-            if k % NT_EXPLORE_PERIOD == NT_EXPLORE_PERIOD - 1 {
-                return !by_threshold;
-            }
-        }
-        by_threshold
+        let tick = || self.nt_explore.fetch_add(1, Ordering::Relaxed) as u64;
+        (len >= t) != explore_flip(len as u64, t as u64, tick)
     }
 }
 
-/// Arms of the real-thread backend selector, in probe order — the rt
-/// mirror of `nemesis_core::lmt::tuner::selector::ARMS` over the rt
+/// Arms of the real-thread backend selector, in probe order: the rt
 /// mechanism families (no pipe variants on the host stack; `Striped(1)`
 /// is CMA with extra bookkeeping and therefore not an arm).
 pub const RT_SELECTOR_ARMS: usize = 7;
@@ -408,311 +338,57 @@ pub const RT_SELECTOR_ARMS: usize = 7;
 /// eager/rendezvous switchover) .. 2^(14+7) = 2 MiB+.
 const SEL_CLASS_BASE: u32 = 14;
 const SEL_NCLASSES: usize = 8;
-const SEL_MIN_PROBE: u32 = 2;
-const SEL_PROBE_START: u64 = 16;
-const SEL_PROBE_CAP: u64 = 1024;
+const ALL_ARMS: [bool; RT_SELECTOR_ARMS] = [true; RT_SELECTOR_ARMS];
 
-fn sel_class_of(bytes: usize) -> usize {
-    let lg = if bytes == 0 { 0 } else { bytes.ilog2() };
-    (lg.saturating_sub(SEL_CLASS_BASE) as usize).min(SEL_NCLASSES - 1)
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct SelCell {
-    /// EWMA throughput in bytes per nanosecond.
-    bw: f64,
-    n: u32,
-    picked: u32,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct SelClass {
-    cells: [SelCell; RT_SELECTOR_ARMS],
-    tick: u64,
-    next_probe: u64,
-    probe_interval: u64,
-    probe_cursor: usize,
-    /// Remaining repeats of the current probe (streaks of two — the
-    /// second sample measures the mechanism warm).
-    probe_streak: u8,
-    incumbent: usize,
-}
-
-impl Default for SelClass {
-    fn default() -> Self {
-        Self {
-            cells: [SelCell::default(); RT_SELECTOR_ARMS],
-            tick: 0,
-            next_probe: 0,
-            probe_interval: SEL_PROBE_START,
-            probe_cursor: 0,
-            probe_streak: 0,
-            incumbent: usize::MAX,
-        }
-    }
-}
-
-/// The learned backend selector of one directed rank pair — the rt
-/// mirror of the simulated stack's per-(pair, size-class) bandit:
-/// sweep every arm [`SEL_MIN_PROBE`] times, then exploit the best
-/// wall-clock bandwidth EWMA with exponentially-spaced minority probes.
-/// Deterministic in its decision sequence (the measured rewards are
-/// wall-clock, the schedule is not randomized).
+/// The learned backend selector of one directed rank pair: one
+/// [`Bandit`] per size class over the rt mechanisms, every arm always
+/// open, rewarded with wall-clock bandwidth. Deterministic in its
+/// decision sequence (the measured rewards are wall-clock, the schedule
+/// is not randomized).
 #[derive(Debug, Default)]
 pub struct RtPairSelector {
-    classes: Mutex<[SelClass; SEL_NCLASSES]>,
+    classes: Mutex<[Bandit<RT_SELECTOR_ARMS>; SEL_NCLASSES]>,
 }
 
 impl RtPairSelector {
+    fn class_of(bytes: usize) -> usize {
+        log2_class(bytes as u64, SEL_CLASS_BASE, SEL_NCLASSES)
+    }
+
     /// Pick the arm for one `len`-byte transfer.
     pub fn pick(&self, len: usize) -> usize {
-        let mut classes = self.classes.lock();
-        let s = &mut classes[sel_class_of(len)];
-        s.tick += 1;
-        // Depth-first sweep: back-to-back probes per arm, so the second
-        // sample measures the mechanism warm (the provisional first
-        // eats the cold-start; see the core selector for the
-        // rationale).
-        if let Some(arm) = (0..RT_SELECTOR_ARMS)
-            .find(|&a| s.cells[a].n < SEL_MIN_PROBE && s.cells[a].picked < 2 * SEL_MIN_PROBE)
-        {
-            s.cells[arm].picked += 1;
-            return arm;
-        }
-        if s.probe_streak > 0 {
-            s.probe_streak -= 1;
-            s.cells[s.probe_cursor].picked += 1;
-            return s.probe_cursor;
-        }
-        if s.next_probe == 0 {
-            s.next_probe = s.tick + s.probe_interval;
-        } else if s.tick >= s.next_probe {
-            s.probe_interval = (s.probe_interval * 2).min(SEL_PROBE_CAP);
-            s.next_probe = s.tick + s.probe_interval;
-            s.probe_cursor = (s.probe_cursor + 1) % RT_SELECTOR_ARMS;
-            s.probe_streak = 1;
-            s.cells[s.probe_cursor].picked += 1;
-            return s.probe_cursor;
-        }
-        let best = (0..RT_SELECTOR_ARMS)
-            .max_by(|&a, &b| s.cells[a].bw.total_cmp(&s.cells[b].bw))
-            .unwrap_or(0);
-        let inc = s.incumbent;
-        if inc >= RT_SELECTOR_ARMS || s.cells[best].bw > s.cells[inc].bw * HYSTERESIS {
-            s.incumbent = best;
-        }
-        s.cells[s.incumbent].picked += 1;
-        s.incumbent
+        self.classes.lock()[Self::class_of(len)].pick(&ALL_ARMS)
     }
 
     /// Fold one completed transfer's wall-clock bandwidth into the
-    /// arm's cell. The first sample per arm is provisional — fully
-    /// replaced by the second — because a mechanism's first use pays
-    /// cold-start costs (thread wakeup, ring creation, cache state)
-    /// that would otherwise dominate the EWMA and mis-rank the arm.
+    /// arm's cell.
     pub fn observe(&self, arm: usize, bytes: usize, nanos: u64) {
-        if arm >= RT_SELECTOR_ARMS || bytes == 0 || nanos == 0 {
-            return;
-        }
-        let mut classes = self.classes.lock();
-        let cell = &mut classes[sel_class_of(bytes)].cells[arm];
-        let bw = bytes as f64 / nanos as f64;
-        cell.bw = if cell.n <= 1 {
-            bw
-        } else {
-            ALPHA * bw + (1.0 - ALPHA) * cell.bw
-        };
-        cell.n += 1;
+        self.classes.lock()[Self::class_of(bytes)].observe(arm, bytes as u64, nanos);
     }
 
     /// The arm's `(bandwidth EWMA, samples)` in the class containing
     /// `bytes` (diagnostics and tests).
     pub fn cell(&self, bytes: usize, arm: usize) -> (f64, u32) {
-        let c = self.classes.lock()[sel_class_of(bytes)].cells[arm.min(RT_SELECTOR_ARMS - 1)];
-        (c.bw, c.n)
-    }
-}
-
-/// The learned collective kinds — the rt mirror of the simulated
-/// selector's `CollKind`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RtCollKind {
-    Bcast,
-    Reduce,
-    Allgather,
-    Alltoall,
-}
-
-impl RtCollKind {
-    fn code(self) -> usize {
-        match self {
-            RtCollKind::Bcast => 0,
-            RtCollKind::Reduce => 1,
-            RtCollKind::Allgather => 2,
-            RtCollKind::Alltoall => 3,
-        }
-    }
-}
-
-/// Learned collective kinds.
-const COLL_KINDS: usize = 4;
-/// Algorithm arms per collective (0 = classic fixed, 1 = alternate).
-pub const RT_COLL_ARMS: usize = 2;
-/// Group-size classes: 2, 3–4, 5–8, 9+ members.
-const COLL_GCLASSES: usize = 4;
-/// Collective message classes start at 2^10 (collectives run far below
-/// the rendezvous switchover too).
-const COLL_CLASS_BASE: u32 = 10;
-const COLL_NCLASSES: usize = 8;
-
-fn coll_gclass_of(n: usize) -> usize {
-    match n {
-        0..=2 => 0,
-        3..=4 => 1,
-        5..=8 => 2,
-        _ => 3,
-    }
-}
-
-fn coll_class_of(bytes: usize) -> usize {
-    let lg = if bytes == 0 { 0 } else { bytes.ilog2() };
-    (lg.saturating_sub(COLL_CLASS_BASE) as usize).min(COLL_NCLASSES - 1)
-}
-
-/// One (kind, group-size class, message class) cell of the collective
-/// algorithm bandit — the same sweep → probe → exploit skeleton as
-/// [`RtPairSelector`], over [`RT_COLL_ARMS`] arms. Unlike the simulated
-/// model there is no `(group id, sequence)` memo: on real threads only
-/// one member (the operation's root) consults the bandit, and the
-/// chosen arm rides a one-byte broadcast to the rest of the group, so
-/// the decision is made exactly once per operation.
-#[derive(Debug, Clone, Copy)]
-struct CollClass {
-    cells: [SelCell; RT_COLL_ARMS],
-    tick: u64,
-    next_probe: u64,
-    probe_interval: u64,
-    probe_cursor: usize,
-    probe_streak: u8,
-    incumbent: usize,
-}
-
-impl Default for CollClass {
-    fn default() -> Self {
-        Self {
-            cells: [SelCell::default(); RT_COLL_ARMS],
-            tick: 0,
-            next_probe: 0,
-            probe_interval: SEL_PROBE_START,
-            probe_cursor: 0,
-            probe_streak: 0,
-            incumbent: usize::MAX,
-        }
-    }
-}
-
-impl CollClass {
-    fn pick(&mut self) -> usize {
-        self.tick += 1;
-        if let Some(arm) = (0..RT_COLL_ARMS)
-            .find(|&a| self.cells[a].n < SEL_MIN_PROBE && self.cells[a].picked < 2 * SEL_MIN_PROBE)
-        {
-            self.cells[arm].picked += 1;
-            return arm;
-        }
-        if self.probe_streak > 0 {
-            self.probe_streak -= 1;
-            let arm = self.probe_cursor % RT_COLL_ARMS;
-            self.cells[arm].picked += 1;
-            return arm;
-        }
-        if self.next_probe == 0 {
-            self.next_probe = self.tick + self.probe_interval;
-        } else if self.tick >= self.next_probe {
-            self.probe_interval = (self.probe_interval * 2).min(SEL_PROBE_CAP);
-            self.next_probe = self.tick + self.probe_interval;
-            self.probe_cursor = (self.probe_cursor + 1) % RT_COLL_ARMS;
-            self.probe_streak = 1;
-            let arm = self.probe_cursor;
-            self.cells[arm].picked += 1;
-            return arm;
-        }
-        let best = (0..RT_COLL_ARMS)
-            .max_by(|&a, &b| self.cells[a].bw.total_cmp(&self.cells[b].bw))
-            .unwrap_or(0);
-        let inc = self.incumbent;
-        if inc >= RT_COLL_ARMS || self.cells[best].bw > self.cells[inc].bw * HYSTERESIS {
-            self.incumbent = best;
-        }
-        self.cells[self.incumbent].picked += 1;
-        self.incumbent
-    }
-}
-
-/// The collective algorithm bandit — run-global (a collective involves
-/// a whole group, not a pair), keyed by (kind, group-size class,
-/// message class). The rt mirror of the simulated `CollAlgModel`;
-/// rewards are wall-clock whole-operation bandwidths.
-#[derive(Debug)]
-pub struct RtCollModel {
-    classes: [[[CollClass; COLL_NCLASSES]; COLL_GCLASSES]; COLL_KINDS],
-}
-
-impl Default for RtCollModel {
-    fn default() -> Self {
-        Self {
-            classes: [[[CollClass::default(); COLL_NCLASSES]; COLL_GCLASSES]; COLL_KINDS],
-        }
-    }
-}
-
-impl RtCollModel {
-    fn select(&mut self, kind: RtCollKind, gsize: usize, bytes: usize) -> usize {
-        self.classes[kind.code()][coll_gclass_of(gsize)][coll_class_of(bytes)].pick()
-    }
-
-    fn observe(
-        &mut self,
-        kind: RtCollKind,
-        gsize: usize,
-        msg_bytes: usize,
-        arm: usize,
-        moved_bytes: usize,
-        nanos: u64,
-    ) {
-        if arm >= RT_COLL_ARMS || moved_bytes == 0 || nanos == 0 {
-            return;
-        }
-        let bw = moved_bytes as f64 / nanos as f64;
-        let cell = &mut self.classes[kind.code()][coll_gclass_of(gsize)][coll_class_of(msg_bytes)]
-            .cells[arm];
-        cell.bw = if cell.n <= 1 {
-            bw
-        } else {
-            ALPHA * bw + (1.0 - ALPHA) * cell.bw
-        };
-        cell.n += 1;
-    }
-
-    fn cell(&self, kind: RtCollKind, gsize: usize, msg_bytes: usize, arm: usize) -> (f64, u32) {
-        let c = self.classes[kind.code()][coll_gclass_of(gsize)][coll_class_of(msg_bytes)].cells
-            [arm.min(RT_COLL_ARMS - 1)];
-        (c.bw, c.n)
+        self.classes.lock()[Self::class_of(bytes)].cell(arm)
     }
 }
 
 /// The per-run tuner. Pair cells are **lazily materialized** — the map
 /// starts empty whatever the rank count, and a directed pair's
-/// [`RtPairTune`] is allocated on its first recorded traffic (the rt
-/// mirror of the simulated tuner's sublinear state: resident cells
-/// track *touched* pairs, never ranks²). Read-only queries on an
+/// [`RtPairTune`] is allocated on its first recorded traffic (resident
+/// cells track *touched* pairs, never ranks², as on the simulated
+/// tuner). Read-only queries on an
 /// untouched pair answer the defaults without allocating. The
-/// collective algorithm bandit rides along as one run-global model
-/// (inline arrays, no heap).
+/// collective algorithm bandit rides along as one run-global
+/// [`CollGrid`] (inline arrays, no heap). Unlike the simulated tuner it
+/// needs no `(group id, sequence)` memo: on real threads only one
+/// member (the operation's root) consults the bandit, and the chosen
+/// arm rides a one-byte broadcast to the rest of the group, so the
+/// decision is made exactly once per operation.
 #[derive(Debug)]
 pub struct RtTuner {
     pairs: RwLock<HashMap<(usize, usize), Arc<RtPairTune>>>,
-    coll: Mutex<RtCollModel>,
+    coll: Mutex<CollGrid>,
     /// Rank → socket placement (unmapped ranks sit on socket 0 — the
     /// right default for the unpinned single-address-space stack).
     /// Populate via [`RtTuner::set_rank_socket`] *before* traffic
@@ -729,7 +405,7 @@ impl RtTuner {
     pub fn new(_nranks: usize) -> Arc<Self> {
         Arc::new(Self {
             pairs: RwLock::new(HashMap::new()),
-            coll: Mutex::new(RtCollModel::default()),
+            coll: Mutex::new(CollGrid::default()),
             sockets: RwLock::new(HashMap::new()),
             socket_nt: RwLock::new(HashMap::new()),
         })
@@ -762,7 +438,7 @@ impl RtTuner {
     /// then distributed to the rest of the group in-band, which is what
     /// keeps concurrent groups consistent without a shared memo.
     pub fn select_coll_alg(&self, kind: RtCollKind, gsize: usize, bytes: usize) -> usize {
-        self.coll.lock().select(kind, gsize, bytes)
+        self.coll.lock().pick(slot_of(kind, gsize, bytes as u64))
     }
 
     /// Credit an arm with one completed collective's whole-operation
@@ -776,9 +452,14 @@ impl RtTuner {
         moved_bytes: usize,
         nanos: u64,
     ) {
-        self.coll
-            .lock()
-            .observe(kind, gsize, msg_bytes, arm, moved_bytes, nanos);
+        self.coll.lock().observe(
+            kind,
+            gsize,
+            msg_bytes as u64,
+            arm,
+            moved_bytes as u64,
+            nanos,
+        );
     }
 
     /// The learned `(bandwidth, samples)` for a collective arm.
@@ -789,7 +470,7 @@ impl RtTuner {
         msg_bytes: usize,
         arm: usize,
     ) -> (f64, u32) {
-        self.coll.lock().cell(kind, gsize, msg_bytes, arm)
+        self.coll.lock().cell(kind, gsize, msg_bytes as u64, arm)
     }
 
     /// The directed pair's learned state, materializing its cell on
@@ -838,6 +519,18 @@ impl RtTuner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nemesis_model::bandit::MIN_PROBE as SEL_MIN_PROBE;
+
+    /// Exploration period of [`explore_flip`].
+    const NT_EXPLORE_PERIOD: usize = 8;
+
+    impl RtPairTune {
+        /// A standalone cell with no socket back-pointer (real cells
+        /// are built by [`RtTuner::pair`] with the cell installed).
+        fn new() -> Self {
+            Self::with_socket_nt(None)
+        }
+    }
 
     #[test]
     fn chunk_model_elects_best_class_with_hysteresis() {

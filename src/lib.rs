@@ -24,6 +24,8 @@
 //!   (lock-free MPSC queue, cell pool, copy engines behind the mirror
 //!   `RtLmtBackend` trait, a mini runtime with collectives),
 //!   benchmarked with Criterion.
+//! * [`model`] — the clock-free online models (EWMA cell, bandit, chunk
+//!   sweet spot, collective grid, rank group) both tuners execute.
 //! * [`workloads`] — IMB-style microbenchmarks, NAS proxy kernels, and
 //!   trace-driven replay.
 //!
@@ -33,6 +35,7 @@
 
 pub use nemesis_core as core;
 pub use nemesis_kernel as kernel;
+pub use nemesis_model as model;
 pub use nemesis_rt as rt;
 pub use nemesis_serve as serve;
 pub use nemesis_sim as sim;

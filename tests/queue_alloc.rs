@@ -84,3 +84,36 @@ fn queue_hot_path_is_allocation_free() {
         after - before
     );
 }
+
+/// The learned backend selection is a per-transfer decision: once the
+/// pair's cell exists, picking and peeking must not touch the heap
+/// (the selector used to collect its open arms into two `Vec`s per
+/// call).
+#[test]
+fn backend_selection_is_allocation_free_once_the_pair_exists() {
+    use nemesis::core::lmt::tuner::selector::{arm_of, NARMS};
+    use nemesis::core::lmt::tuner::Tuner;
+
+    let tuner = Tuner::new(2, 64 << 10);
+    let mut eligible = [true; NARMS];
+    eligible[2] = false;
+    // Materialise the pair and get past the first-touch paths.
+    let warm = tuner.select_backend(0, 1, 1 << 20, &eligible);
+    tuner.observe_arm(0, 1, arm_of(warm).expect("an arm"), 1 << 20, 1 << 20);
+
+    let before = local_allocs();
+    let mut picked = 0usize;
+    for i in 0..10_000u64 {
+        let len = (64 << 10) << (i % 6);
+        picked += arm_of(tuner.select_backend(0, 1, len, &eligible)).expect("an arm");
+        picked += arm_of(tuner.peek_backend(0, 1, len, &eligible)).expect("an arm");
+    }
+    let after = local_allocs();
+    assert_ne!(picked, 0);
+    assert_eq!(
+        after - before,
+        0,
+        "backend selection allocated {} time(s) over 10k select + peek calls",
+        after - before
+    );
+}
