@@ -223,16 +223,22 @@ pub struct CellPool {
     /// Per-cell access guards (uncontended by construction — one owner
     /// per checked-out cell; they make the disjointness contract of
     /// `with_cell` explicit and checkable).
-    guards: Vec<parking_lot::Mutex<()>>,
+    guards: Vec<Guard>,
     cell_size: usize,
 }
+
+/// One cell's guard on a cache line of its own: both ranks lock a guard
+/// on every eager message, and one-byte mutexes packed sixteen to a
+/// line make the owners of neighbouring cells false-share it.
+#[repr(align(64))]
+struct Guard(parking_lot::Mutex<()>);
 
 impl CellPool {
     pub fn new(n: usize, cell_size: usize) -> Self {
         Self {
             free: FreeStack::full(n),
             slab: Slab::new(n * cell_size),
-            guards: (0..n).map(|_| parking_lot::Mutex::new(())).collect(),
+            guards: (0..n).map(|_| Guard(parking_lot::Mutex::new(()))).collect(),
             cell_size,
         }
     }
@@ -258,7 +264,7 @@ impl CellPool {
 
     /// Access a checked-out cell's payload.
     pub fn with_cell<R>(&self, index: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        let _guard = self.guards[index].lock();
+        let _guard = self.guards[index].0.lock();
         // SAFETY: cells are disjoint `cell_size` ranges of the slab;
         // the per-cell guard holds the range exclusively for the
         // duration of the borrow.
@@ -316,6 +322,20 @@ mod tests {
         assert_eq!(base % HUGE_PAGE, 0, "slab base not huge-page aligned");
         let c1 = pool.with_cell(1, |d| d.as_ptr() as usize);
         assert_eq!(c1, base + pool.cell_size(), "cells not contiguous");
+    }
+
+    #[test]
+    fn every_guard_has_a_cache_line_to_itself() {
+        let pool = CellPool::new(16, 64);
+        assert_eq!(std::mem::size_of::<Guard>(), 64);
+        for pair in pool.guards.windows(2) {
+            let (a, b) = (
+                &pair[0] as *const Guard as usize,
+                &pair[1] as *const Guard as usize,
+            );
+            assert_eq!(a % 64, 0);
+            assert_eq!(b - a, 64);
+        }
     }
 
     #[test]

@@ -101,11 +101,29 @@ impl RtConfig {
 }
 
 struct Rts {
-    /// Sender buffer (valid until `done` is set — the sender blocks).
+    /// Sender buffer (valid until the receiver publishes `seq` — the
+    /// sender blocks).
     src: *const u8,
     len: usize,
-    /// Receiver sets this when the data is out; the sender spins on it.
-    done: Arc<AtomicUsize>,
+    /// What the receiver stores into the sender's [`RndvWord`] when the
+    /// data is out.
+    seq: usize,
+}
+
+/// One sender rank's rendezvous completion word, on a line of its own.
+/// A blocking sender has one rendezvous in flight, so one word per rank
+/// serves every message: no per-message allocation, and the only
+/// shared writes are the receiver's one store. The sequence number
+/// keeps a late store — a receiver finishing after the sender's timeout
+/// panic — from completing a *later* send; the word lives as long as
+/// the runtime, so that store always lands in valid memory.
+#[repr(align(64))]
+#[derive(Default)]
+struct RndvWord {
+    /// Rendezvous sends started by this rank (sender-private).
+    sent: AtomicUsize,
+    /// Sequence number of the last one a receiver completed.
+    done: AtomicUsize,
 }
 
 // The size difference is the point: `Inline` embeds the payload in the
@@ -134,7 +152,7 @@ enum Packet {
 }
 
 // SAFETY: the raw pointer inside `Rts` stays valid because the sending
-// thread blocks inside `send` until `done` is set.
+// thread blocks inside `send` until its completion word reads `seq`.
 unsafe impl Send for Packet {}
 
 fn pkt_src(p: &Packet) -> usize {
@@ -203,6 +221,8 @@ struct Shared {
     /// The selected large-message backend; all transfer bytes flow
     /// through this trait object.
     backend: Box<dyn RtLmtBackend>,
+    /// Completion word of each sender rank's in-flight rendezvous.
+    rndv: Vec<RndvWord>,
     cfg: RtConfig,
     n: usize,
 }
@@ -296,14 +316,15 @@ impl RtComm {
         }
         // Rendezvous: announce, let the backend move the payload, then
         // hold the buffer until the receiver confirms completion.
-        let done = Arc::new(AtomicUsize::new(0));
+        let word = &self.shared.rndv[self.rank];
+        let seq = word.sent.fetch_add(1, Ordering::Relaxed) + 1;
         self.shared.senders[dst].enqueue(Packet::Rndv {
             src_rank: self.rank,
             tag,
             rts: Rts {
                 src: data.as_ptr(),
                 len: data.len(),
-                done: Arc::clone(&done),
+                seq,
             },
         });
         self.shared.backend.send_payload(self.rank, dst, data);
@@ -314,7 +335,7 @@ impl RtComm {
             .rndv_timeout
             .map(|t| std::time::Instant::now() + t);
         let mut spins: u32 = 0;
-        while done.load(Ordering::Acquire) == 0 {
+        while word.done.load(Ordering::Acquire) != seq {
             bo.snooze();
             // Check the clock only every so often: the hot path stays a
             // pure load + snooze.
@@ -434,8 +455,8 @@ impl RtComm {
             }
             Packet::Rndv { src_rank, rts, .. } => {
                 assert!(rts.len <= dst.len(), "receive buffer too small");
-                // SAFETY: the sender keeps `src` alive until we set
-                // `done` below.
+                // SAFETY: the sender keeps `src` alive until we publish
+                // `seq` below.
                 let src_slice = unsafe { std::slice::from_raw_parts(rts.src, rts.len) };
                 let t0 = self
                     .shared
@@ -465,7 +486,9 @@ impl RtComm {
                     );
                 }
                 let len = rts.len;
-                rts.done.store(1, Ordering::Release);
+                self.shared.rndv[src_rank]
+                    .done
+                    .store(rts.seq, Ordering::Release);
                 len
             }
         }
@@ -613,6 +636,7 @@ where
         senders,
         cells: CellPool::new(cfg.cells, cfg.cell_size),
         backend,
+        rndv: (0..n).map(|_| RndvWord::default()).collect(),
         cfg,
         n,
     });

@@ -188,8 +188,10 @@ struct Slot {
 }
 
 impl DoubleBufferPipe {
-    /// `nbufs = 2` gives the paper's double buffering; `chunk` is the
-    /// slot capacity (the adaptive schedule's ceiling).
+    /// `nbufs = 2` gives the paper's double buffering (the production
+    /// geometry is [`crate::lmt::RING_SLOTS`] ×
+    /// [`crate::lmt::RING_SLOT_BYTES`]); `chunk` is the slot capacity
+    /// (the adaptive schedule's ceiling).
     pub fn new(chunk: usize, nbufs: usize) -> Self {
         Self::with_start_chunk(chunk, nbufs, ADAPTIVE_CHUNK_START)
     }
@@ -222,6 +224,12 @@ impl DoubleBufferPipe {
             sends: AtomicUsize::new(0),
             ready: AtomicUsize::new(0),
         }
+    }
+
+    /// Bytes of slot storage the ring holds: none until a receiver's
+    /// first drain, `nbufs × chunk` from then on.
+    pub fn resident_bytes(&self) -> usize {
+        self.slots.iter().map(|s| s.buf.lock().len()).sum()
     }
 
     /// Allocate and first-touch the slot buffers from the calling
@@ -262,9 +270,13 @@ impl DoubleBufferPipe {
     /// those sampling transfers are timed: the steady-state inter-chunk
     /// interval (wait + copy + publish — the pipeline's true per-chunk
     /// cost) feeds the pair's chunk model, with the first `nbufs`
-    /// chunks (pipeline fill) skipped. The non-probe hot path pays one
-    /// counter increment and one atomic load over the fixed schedule —
-    /// no clocks, no allocation.
+    /// chunks (pipeline fill) skipped. At the production depth of eight
+    /// that skip (`i <= n`) covers the whole 4→32 KiB ramp of a 256 KiB
+    /// probe — four ramp chunks, then four at the ceiling — so the
+    /// learned chunk model samples, and publishes, only the ceiling
+    /// class (a two-slot ring times the 16 KiB step as well). The
+    /// non-probe hot path pays one counter increment and one atomic
+    /// load over the fixed schedule — no clocks, no allocation.
     pub fn send(&self, src: &[u8]) {
         let n = self.slots.len();
         let mut bo = crate::backoff::Backoff::new();
@@ -624,9 +636,21 @@ impl CopyEngine for OffloadEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lmt::{RING_SLOTS, RING_SLOT_BYTES};
 
     fn pattern(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i % 251) as u8).collect()
+    }
+
+    /// One transfer of `src` through `pipe`, sender on a thread of its
+    /// own; returns what the receiver landed.
+    fn roundtrip(pipe: &DoubleBufferPipe, src: &[u8]) -> Vec<u8> {
+        let mut dst = vec![0u8; src.len()];
+        std::thread::scope(|s| {
+            s.spawn(|| pipe.send(src));
+            pipe.recv(&mut dst);
+        });
+        dst
     }
 
     #[test]
@@ -659,30 +683,89 @@ mod tests {
 
     #[test]
     fn ring_slots_are_lazy_until_the_receiver_first_touches() {
-        let pipe = Arc::new(DoubleBufferPipe::new(32 << 10, 2));
+        let pipe = DoubleBufferPipe::new(RING_SLOT_BYTES, RING_SLOTS);
         // Construction allocates nothing: slot buffers stay empty until
         // a receiver runs (first-touch NUMA placement is the receiver's
         // job, and untouched pairs must cost no memory).
         assert_eq!(pipe.ready.load(Ordering::Relaxed), 0);
-        for slot in &pipe.slots {
-            assert!(slot.buf.lock().is_empty(), "slot allocated before recv");
-        }
+        assert_eq!(pipe.resident_bytes(), 0, "slot allocated before recv");
         let src = pattern(100_000);
         let mut dst = vec![0u8; 100_000];
         std::thread::scope(|s| {
-            let p2 = Arc::clone(&pipe);
-            let src_ref = &src;
             // The sender starts first and must simply wait for the
             // receiver's first-touch, not deadlock or write early.
-            s.spawn(move || p2.send(src_ref));
+            s.spawn(|| pipe.send(&src));
             std::thread::sleep(std::time::Duration::from_millis(5));
             pipe.recv(&mut dst);
         });
         assert_eq!(src, dst);
         assert_eq!(pipe.ready.load(Ordering::Relaxed), 1);
         for slot in &pipe.slots {
-            assert_eq!(slot.buf.lock().len(), 32 << 10, "slot sized after recv");
+            assert_eq!(slot.buf.lock().len(), RING_SLOT_BYTES, "slot sized");
         }
+    }
+
+    #[test]
+    fn sender_fills_every_slot_and_blocks_until_a_late_receiver_drains() {
+        let pipe = DoubleBufferPipe::new(RING_SLOT_BYTES, RING_SLOTS);
+        let src = pattern(1 << 20);
+        let mut dst = vec![0u8; src.len()];
+        std::thread::scope(|s| {
+            s.spawn(|| pipe.send(&src));
+            // First touch only (the sender waits for it), then no drain
+            // until all eight slots are published: the sender is now
+            // parked on slot 0 with 832 KiB still to go.
+            pipe.ensure_local();
+            while pipe
+                .slots
+                .iter()
+                .any(|s| s.len.load(Ordering::Acquire) == 0)
+            {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            let parked: usize = pipe
+                .slots
+                .iter()
+                .map(|s| s.len.load(Ordering::Acquire))
+                .sum();
+            assert_eq!(parked, (4 + 8 + 16 + 5 * 32) << 10, "ran ahead by one ring");
+            pipe.recv(&mut dst);
+        });
+        assert_eq!(src, dst);
+    }
+
+    #[test]
+    fn receiver_outrunning_a_slow_sender_waits_on_an_empty_ring() {
+        // Full-slot chunks, so a send of exactly one ring of bytes ends
+        // with the sender's slot cursor back at slot 0: four such sends
+        // with a pause between them are one slow 1 MiB sender to a
+        // single `recv`, which finds the ring empty at every pause.
+        let ring = RING_SLOTS * RING_SLOT_BYTES;
+        let pipe = DoubleBufferPipe::with_start_chunk(RING_SLOT_BYTES, RING_SLOTS, RING_SLOT_BYTES);
+        let src = pattern(4 * ring);
+        let mut dst = vec![0u8; src.len()];
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for piece in src.chunks(ring) {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    pipe.send(piece);
+                }
+            });
+            pipe.recv(&mut dst);
+        });
+        assert_eq!(src, dst);
+    }
+
+    #[test]
+    fn sizes_around_one_ring_back_to_back_on_one_pipe() {
+        let ring = RING_SLOTS * RING_SLOT_BYTES;
+        let pipe = DoubleBufferPipe::new(RING_SLOT_BYTES, RING_SLOTS);
+        for size in [1, ring - 1, ring, ring + 1, 3 << 20, 1] {
+            let src = pattern(size);
+            assert_eq!(roundtrip(&pipe, &src), src, "size {size}");
+        }
+        assert_eq!(pipe.resident_bytes(), ring);
     }
 
     #[test]
@@ -698,50 +781,33 @@ mod tests {
             tune.record_copy_mode(true, 64 << 10, 10_000);
         }
         assert_eq!(tune.nt_min(), 64 << 10);
-        let pipe = Arc::new(DoubleBufferPipe::with_schedule(
+        let pipe = DoubleBufferPipe::with_schedule(
             32 << 10,
             2,
             ADAPTIVE_CHUNK_START,
             PipeSchedule::Learned(Arc::clone(&tune)),
-        ));
+        );
         let src = pattern(1 << 20);
-        let mut dst = vec![0u8; 1 << 20];
-        std::thread::scope(|s| {
-            let p2 = Arc::clone(&pipe);
-            let src_ref = &src;
-            s.spawn(move || p2.send(src_ref));
-            pipe.recv(&mut dst);
-        });
-        assert_eq!(src, dst, "NT drain corrupted the payload");
+        assert_eq!(
+            roundtrip(&pipe, &src),
+            src,
+            "NT drain corrupted the payload"
+        );
     }
 
     #[test]
     fn double_buffer_pipelined_transfer() {
-        let pipe = Arc::new(DoubleBufferPipe::new(32 << 10, 2));
+        let pipe = DoubleBufferPipe::new(32 << 10, 2);
         let src = pattern(1 << 20);
-        let mut dst = vec![0u8; 1 << 20];
-        std::thread::scope(|s| {
-            let p2 = Arc::clone(&pipe);
-            let src_ref = &src;
-            s.spawn(move || p2.send(src_ref));
-            pipe.recv(&mut dst);
-        });
-        assert_eq!(src, dst);
+        assert_eq!(roundtrip(&pipe, &src), src);
     }
 
     #[test]
     fn double_buffer_odd_sizes() {
         for size in [1usize, 100, 32 << 10, (32 << 10) + 1, 123_457] {
-            let pipe = Arc::new(DoubleBufferPipe::new(32 << 10, 2));
+            let pipe = DoubleBufferPipe::new(32 << 10, 2);
             let src = pattern(size);
-            let mut dst = vec![0u8; size];
-            std::thread::scope(|s| {
-                let p2 = Arc::clone(&pipe);
-                let src_ref = &src;
-                s.spawn(move || p2.send(src_ref));
-                pipe.recv(&mut dst);
-            });
-            assert_eq!(src, dst, "size {size}");
+            assert_eq!(roundtrip(&pipe, &src), src, "size {size}");
         }
     }
 
@@ -753,31 +819,16 @@ mod tests {
             DoubleBufferPipe::with_start_chunk(32 << 10, 2, 32 << 10), // seed's fixed chunks
             DoubleBufferPipe::with_start_chunk(32 << 10, 2, 1),        // degenerate start
         ] {
-            let pipe = Arc::new(pipe);
-            let mut dst = vec![0u8; src.len()];
-            std::thread::scope(|s| {
-                let p2 = Arc::clone(&pipe);
-                let src_ref = &src;
-                s.spawn(move || p2.send(src_ref));
-                pipe.recv(&mut dst);
-            });
-            assert_eq!(src, dst);
+            assert_eq!(roundtrip(&pipe, &src), src);
         }
     }
 
     #[test]
     fn double_buffer_back_to_back_transfers() {
-        let pipe = Arc::new(DoubleBufferPipe::new(4 << 10, 2));
+        let pipe = DoubleBufferPipe::new(4 << 10, 2);
         for round in 0..5u8 {
             let src = vec![round; 40_000];
-            let mut dst = vec![0u8; 40_000];
-            std::thread::scope(|s| {
-                let p2 = Arc::clone(&pipe);
-                let src_ref = &src;
-                s.spawn(move || p2.send(src_ref));
-                pipe.recv(&mut dst);
-            });
-            assert_eq!(src, dst, "round {round}");
+            assert_eq!(roundtrip(&pipe, &src), src, "round {round}");
         }
     }
 

@@ -120,8 +120,8 @@ pub fn backend_for_schedule(
     match lmt {
         RtLmt::DoubleBuffer => Box::new(DoubleBufferBackend::with_schedule(
             nranks,
-            32 << 10,
-            2,
+            RING_SLOT_BYTES,
+            RING_SLOTS,
             schedule,
             tuner,
         )),
@@ -133,8 +133,24 @@ pub fn backend_for_schedule(
     }
 }
 
-/// Two-copy double-buffered ring per (src, dst) pair — the `default
-/// LMT` analogue. Sender and receiver pipeline chunk against chunk.
+/// Slots of every production copy ring, chosen from a measured sweep
+/// of slots × slot bytes (DESIGN.md, "The fast path"; `copy_engines`'
+/// `ring_depth` group re-measures it on another host). The paper's two
+/// — still the simulated stack's `ring_bufs` — complete a quarter fewer
+/// 256 KiB round trips a second on the benchmark host. The likely
+/// cause, inferred and not proven: a sender that can be only one chunk
+/// ahead stalls whenever the receiver does, and the reverse, where
+/// eight slots let it run ahead of the drain.
+pub const RING_SLOTS: usize = 8;
+
+/// Slot capacity of every production copy ring — the adaptive chunk
+/// schedule's ceiling. Slots are allocated by the receiver's first
+/// drain, so a touched pair holds `RING_SLOTS * RING_SLOT_BYTES` and an
+/// untouched pair nothing.
+pub const RING_SLOT_BYTES: usize = 32 << 10;
+
+/// Two-copy ring per (src, dst) pair — the `default LMT` analogue.
+/// Sender and receiver pipeline chunk against chunk.
 pub struct DoubleBufferBackend {
     rings: Vec<DoubleBufferPipe>,
     /// Slot capacity of every ring (the adaptive schedule's ceiling,
@@ -444,7 +460,7 @@ impl LearnedBackend {
         let n = nranks.max(1);
         Self {
             children: [
-                Box::new(DoubleBufferBackend::new(n, 32 << 10, 2)),
+                Box::new(DoubleBufferBackend::new(n, RING_SLOT_BYTES, RING_SLOTS)),
                 Box::new(DirectBackend),
                 Box::new(OffloadBackend::new()),
                 Box::new(CmaBackend),
@@ -680,6 +696,35 @@ mod tests {
         for lmt in ALL_RT_LMTS {
             assert!(backend_for(lmt, 2).preferred_chunk() > 0, "{lmt:?}");
         }
+    }
+
+    #[test]
+    fn a_touched_pair_holds_one_ring_and_an_untouched_pair_nothing() {
+        let b = DoubleBufferBackend::new(2, RING_SLOT_BYTES, RING_SLOTS);
+        let src: Vec<u8> = (0..300_000).map(|i| (i % 229) as u8).collect();
+        let mut dst = vec![0u8; src.len()];
+        std::thread::scope(|s| {
+            s.spawn(|| b.send_payload(0, 1, &src));
+            b.recv_payload(0, 1, &src, &mut dst);
+        });
+        assert_eq!(src, dst);
+        assert_eq!(b.ring(0, 1).resident_bytes(), RING_SLOTS * RING_SLOT_BYTES);
+        for (s, d) in [(0, 0), (1, 0), (1, 1)] {
+            assert_eq!(b.ring(s, d).resident_bytes(), 0, "pair {s}->{d} untouched");
+        }
+    }
+
+    #[test]
+    fn production_rings_are_built_from_the_named_geometry() {
+        // The slot count is not visible through the trait; the slot
+        // bytes are, on both production constructors.
+        assert_eq!(
+            backend_for(RtLmt::DoubleBuffer, 2).preferred_chunk(),
+            RING_SLOT_BYTES
+        );
+        let learned = LearnedBackend::new(2);
+        assert_eq!(learned.children[0].name(), "double-buffer");
+        assert_eq!(learned.children[0].preferred_chunk(), RING_SLOT_BYTES);
     }
 
     #[test]

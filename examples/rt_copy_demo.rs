@@ -10,6 +10,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use nemesis::rt::copy::{direct_copy, DoubleBufferPipe, OffloadEngine};
+use nemesis::rt::lmt::{RING_SLOTS, RING_SLOT_BYTES};
 
 const SIZE: usize = 16 << 20;
 const REPS: u32 = 20;
@@ -31,10 +32,10 @@ fn main() {
     let direct = t.elapsed().as_secs_f64() / REPS as f64;
     assert_eq!(src, dst);
 
-    // Two copies through a small shared ring, pipelined across two
-    // threads (the default Nemesis LMT).
+    // Two copies through a small shared ring of the production
+    // geometry, pipelined across two threads (the default Nemesis LMT).
     dst.fill(0);
-    let pipe = Arc::new(DoubleBufferPipe::new(32 << 10, 2));
+    let pipe = Arc::new(DoubleBufferPipe::new(RING_SLOT_BYTES, RING_SLOTS));
     let t = Instant::now();
     for _ in 0..REPS {
         std::thread::scope(|s| {

@@ -117,3 +117,45 @@ fn backend_selection_is_allocation_free_once_the_pair_exists() {
         after - before
     );
 }
+
+/// A rendezvous completes through a per-rank completion word that
+/// exists before the first message: once the ring is first-touched,
+/// neither the sending nor the receiving thread touches the heap.
+#[test]
+fn rendezvous_round_trips_are_allocation_free_once_warm() {
+    use nemesis::rt::{run_rt, RtLmt};
+
+    const BYTES: usize = 64 << 10;
+    for lmt in [RtLmt::DoubleBuffer, RtLmt::Direct] {
+        run_rt(2, lmt, |comm| {
+            let peer = 1 - comm.rank();
+            let data = vec![comm.rank() as u8 + 1; BYTES];
+            let mut buf = vec![0u8; BYTES];
+            let mut round_trip = |comm: &mut nemesis::rt::RtComm| {
+                if comm.rank() == 0 {
+                    comm.send(peer, 1, &data);
+                    comm.recv(Some(peer), Some(1), &mut buf);
+                } else {
+                    comm.recv(Some(peer), Some(1), &mut buf);
+                    comm.send(peer, 1, &data);
+                }
+            };
+            // Warm: both rings' first touch, the unexpected-set map.
+            for _ in 0..8 {
+                round_trip(comm);
+            }
+            let before = local_allocs();
+            for _ in 0..1_000 {
+                round_trip(comm);
+            }
+            let allocated = local_allocs() - before;
+            assert!(buf.iter().all(|&b| b == peer as u8 + 1));
+            assert_eq!(
+                allocated,
+                0,
+                "rank {} allocated {allocated} time(s) over 1 000 {lmt:?} round trips",
+                comm.rank()
+            );
+        });
+    }
+}
