@@ -3,12 +3,13 @@
 //! Nemesis is a polling design; on dedicated cores pure spinning is
 //! right. But when ranks are oversubscribed (more ranks than cores — CI
 //! boxes, laptops), a spinning waiter burns its entire scheduler quantum
-//! while the peer it waits for cannot run. [`Backoff`] spins with a
-//! **capped exponential** schedule — step `k` busy-spins `2^k`
-//! iterations for `k < spin_limit` (at most `2^spin_limit - 1` total
-//! spin iterations, largest burst `2^(spin_limit-1)`), so a contended
-//! waiter never commits to an unbounded burn — then escalates to
-//! `yield_now` so the peer gets CPU.
+//! while the peer it waits for cannot run. [`Backoff`] spins for a
+//! **capped budget** — `2^spin_limit - 1` snoozes of one `spin_loop()`
+//! (one `pause`) each, so the caller looks again after every pause and a
+//! contended waiter never commits to an unbounded burn — then escalates
+//! to `yield_now` so the peer gets CPU. One pause per look, never a
+//! burst: a round trip over a lane is under a microsecond, and 32 blind
+//! pauses are half of one.
 //!
 //! The cap is configurable: dedicated-core deployments raise it (longer
 //! in-cache spins before surrendering the quantum), oversubscribed ones
@@ -16,22 +17,22 @@
 //! `NemesisConfig::backoff_spin_cap`; the `nemesis` facade crate bridges
 //! it into an rt runtime config so both stacks tune from one place.
 
-/// Default spin cap: `2^DEFAULT_SPIN_LIMIT - 1` total busy iterations
-/// across the spin phase (largest single burst
-/// `2^(DEFAULT_SPIN_LIMIT-1)` = 32) before yielding — ≈ a few hundred
-/// ns, the scale of one cross-core cache-line bounce.
+/// Default spin cap: `2^DEFAULT_SPIN_LIMIT - 1` = 63 one-pause snoozes
+/// before yielding — ≈ a microsecond, the scale of a few cross-core
+/// cache-line bounces.
 pub const DEFAULT_SPIN_LIMIT: u32 = 6;
 
-/// Largest accepted cap (a ~2^15-iteration final burst ≈ tens of µs —
-/// anything above would burn whole scheduler quanta and defeat the
-/// escalation).
+/// Largest accepted cap (~2^16 pauses ≈ a millisecond — anything above
+/// would burn whole scheduler quanta and defeat the escalation).
 pub const MAX_SPIN_LIMIT: u32 = 16;
 
-/// Capped exponential spin backoff that escalates to `yield_now`.
+/// Capped one-pause spin backoff that escalates to `yield_now`.
 #[derive(Debug)]
 pub struct Backoff {
+    /// Spin snoozes taken since the last reset.
     step: u32,
-    spin_limit: u32,
+    /// Spin snoozes before every further snooze yields.
+    budget: u32,
 }
 
 impl Default for Backoff {
@@ -45,27 +46,24 @@ impl Backoff {
         Self::default()
     }
 
-    /// A backoff whose spin phase runs `spin_limit` doubling steps —
-    /// `2^spin_limit - 1` busy iterations in total (limit clamped to
-    /// [`MAX_SPIN_LIMIT`]) — before every further snooze yields. A limit
-    /// of 0 yields immediately — the right setting for heavily
-    /// oversubscribed runs.
+    /// A backoff whose spin phase lasts `2^spin_limit - 1` one-pause
+    /// snoozes (limit clamped to [`MAX_SPIN_LIMIT`]) before every
+    /// further snooze yields. A limit of 0 yields immediately — the
+    /// right setting for heavily oversubscribed runs.
     pub fn with_spin_limit(spin_limit: u32) -> Self {
         Self {
             step: 0,
-            spin_limit: spin_limit.min(MAX_SPIN_LIMIT),
+            budget: (1 << spin_limit.min(MAX_SPIN_LIMIT)) - 1,
         }
     }
 
-    /// One wait step: busy-spin an exponentially growing (but capped)
-    /// number of iterations while young, yield to the OS once the wait
-    /// has lasted long enough that the peer may need our core.
+    /// One wait step: a single `spin_loop()` while young — the caller
+    /// looks again after every pause — and a yield to the OS once the
+    /// wait has lasted long enough that the peer may need our core.
     #[inline]
     pub fn snooze(&mut self) {
-        if self.step < self.spin_limit {
-            for _ in 0..(1u32 << self.step) {
-                std::hint::spin_loop();
-            }
+        if self.step < self.budget {
+            std::hint::spin_loop();
             self.step += 1;
         } else {
             std::thread::yield_now();
@@ -76,7 +74,7 @@ impl Backoff {
     /// callers that park differently once yielding starts).
     #[inline]
     pub fn is_yielding(&self) -> bool {
-        self.step >= self.spin_limit
+        self.step >= self.budget
     }
 
     /// Restart the fast path (call after making progress).
@@ -93,10 +91,13 @@ mod tests {
     #[test]
     fn escalates_and_resets() {
         let mut b = Backoff::new();
-        assert!(!b.is_yielding());
-        for _ in 0..20 {
-            b.snooze(); // must terminate, eventually yielding
+        let budget = (1 << DEFAULT_SPIN_LIMIT) - 1;
+        for _ in 0..budget {
+            assert!(!b.is_yielding(), "still inside the spin budget");
+            b.snooze();
         }
+        assert!(b.is_yielding(), "budget spent: every further snooze yields");
+        b.snooze(); // a yield: must terminate and stay escalated
         assert!(b.is_yielding());
         b.reset();
         assert!(!b.is_yielding());
@@ -114,19 +115,20 @@ mod tests {
     #[test]
     fn cap_is_clamped() {
         let b = Backoff::with_spin_limit(u32::MAX);
-        assert_eq!(b.spin_limit, MAX_SPIN_LIMIT);
+        assert_eq!(b.budget, (1 << MAX_SPIN_LIMIT) - 1);
     }
 
     #[test]
     fn spin_iterations_are_capped() {
-        // The spin phase performs at most 2^limit - 1 total iterations
-        // before every subsequent snooze is a yield: just drive it far
-        // past the cap and confirm the step saturates at the limit.
+        // The spin phase is 2^limit - 1 one-pause snoozes and not one
+        // more: drive it far past the cap and the count saturates at the
+        // budget.
         let mut b = Backoff::with_spin_limit(3);
+        assert_eq!(b.budget, 7);
         for _ in 0..50 {
             b.snooze();
         }
-        assert_eq!(b.step, 3, "step never exceeds the cap");
+        assert_eq!(b.step, 7, "spin snoozes never exceed the budget");
     }
 
     #[test]

@@ -19,7 +19,9 @@ const NIL: u32 = u32::MAX;
 /// `push_chain` publishes a whole batch of indices with a single
 /// successful CAS on the head word — the consumer-side analogue of the
 /// single control-line charge the simulated stack models for batched
-/// dequeues.
+/// dequeues. Aligned to a cache line so the head word — CAS-ed by every
+/// pop and push — never shares one with its owner's neighbouring field.
+#[repr(align(64))]
 pub struct FreeStack {
     /// Packed head: upper 32 bits generation, lower 32 bits index.
     head: AtomicU64,
@@ -336,6 +338,12 @@ mod tests {
             assert_eq!(a % 64, 0);
             assert_eq!(b - a, 64);
         }
+    }
+
+    #[test]
+    fn free_stack_has_a_cache_line_to_itself() {
+        assert_eq!(std::mem::align_of::<FreeStack>(), 64);
+        assert_eq!(std::mem::size_of::<FreeStack>(), 64);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! A miniature real-thread message-passing runtime combining the rt
-//! substrate pieces: ranks are OS threads, each with a Nemesis MPSC
-//! receive queue; tiny messages ride *inside* the queue cell (one fused
-//! pack-into-cell write), small messages travel through pooled cells
+//! substrate pieces: ranks are OS threads, joined pairwise by one
+//! single-producer/single-consumer [`lane`](crate::lane) per ordered
+//! rank pair; tiny messages ride *inside* the lane slot (one fused
+//! pack-into-slot write), small messages travel through pooled cells
 //! (two copies), large messages through the selected
 //! [`RtLmtBackend`](crate::lmt::RtLmtBackend) — this module never names
 //! a concrete strategy, exactly as `nemesis_core::comm` drives its
@@ -11,47 +12,47 @@
 //! shape, real memory, real atomics — used by tests and Criterion
 //! benches to validate the data structures under true parallelism.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::backoff::Backoff;
 use crate::cellpool::CellPool;
+use crate::lane::{lane, Header, Kind, LaneRx, LaneTx};
 use crate::lmt::{backend_for_schedule, RtLmtBackend};
-use crate::queue::{nem_queue_cfg, QueueFull, Receiver, Sender};
+use crate::queue::QueueFull;
 use crate::tuner::{RtChunkScheduleSelect, RtTransferSample, RtTuner};
 
+/// Payload bytes a message can carry inline, inside the lane slot
+/// itself. Contiguous sends at or below this size skip the cell pool
+/// entirely: one fused write packs header and payload into the slot, so
+/// the message touches each cache line exactly once on each side.
+pub use crate::lane::INLINE_MAX;
 pub use crate::lmt::RtLmt;
 
 /// Messages at or below this size go eager (through cells).
 pub const EAGER_MAX: usize = 16 << 10;
-
-/// Payload bytes a packet can carry inline, inside the receive-queue
-/// cell itself. Contiguous sends at or below this size skip the cell
-/// pool entirely: one fused write packs header and payload into the
-/// queue cell, so the message touches each cache line exactly once on
-/// each side.
-pub const INLINE_MAX: usize = 256;
 
 /// Runtime tunables — the rt mirror of the queue/backoff knobs in
 /// `nemesis_core::NemesisConfig` (the `nemesis` facade crate bridges
 /// one into the other).
 #[derive(Debug, Clone)]
 pub struct RtConfig {
-    /// Receive-queue cells per rank (bounded in-flight packets).
+    /// Lane depth: slots per ordered rank pair (messages one sender can
+    /// have in flight to one receiver before `try_send` reports
+    /// [`QueueFull`]).
     pub queue_capacity: usize,
     /// Pooled eager cells shared by all ranks.
     pub cells: usize,
     /// Payload bytes per pooled cell.
     pub cell_size: usize,
-    /// Contiguous payloads at or below this ride inline in the queue
-    /// cell (clamped to [`INLINE_MAX`]). 0 disables the inline path.
+    /// Contiguous payloads at or below this ride inline in the lane
+    /// slot (clamped to [`INLINE_MAX`]). 0 disables the inline path.
     pub inline_max: usize,
     /// Spin cap fed to every [`Backoff`] the runtime creates (see
     /// `Backoff::with_spin_limit`).
     pub spin_limit: u32,
-    /// Packets the consumer drains per queue poll (single batched
-    /// recycle).
+    /// Slots the consumer takes per incoming lane on each poll.
     pub recv_batch: usize,
     /// Chunk schedule of the double-buffer ring (the rt mirror of
     /// `NemesisConfig::chunk_schedule`, bridged by `nemesis::rt_config_from`).
@@ -93,21 +94,12 @@ impl Default for RtConfig {
 
 impl RtConfig {
     /// Scale the pooled-cell count for `n` ranks (the former hard-wired
-    /// sizing rule).
+    /// sizing rule) and clamp the inline cutoff to what a slot holds.
     fn for_ranks(mut self, n: usize) -> Self {
         self.cells = self.cells.max(4 * n.max(4));
+        self.inline_max = self.inline_max.min(INLINE_MAX);
         self
     }
-}
-
-struct Rts {
-    /// Sender buffer (valid until the receiver publishes `seq` — the
-    /// sender blocks).
-    src: *const u8,
-    len: usize,
-    /// What the receiver stores into the sender's [`RndvWord`] when the
-    /// data is out.
-    seq: usize,
 }
 
 /// One sender rank's rendezvous completion word, on a line of its own.
@@ -126,97 +118,77 @@ struct RndvWord {
     done: AtomicUsize,
 }
 
-// The size difference is the point: `Inline` embeds the payload in the
-// queue cell so tiny messages never touch the cell pool. Cells are
-// slab-allocated once, so the large variant costs no per-message memory.
-#[allow(clippy::large_enum_variant)]
-enum Packet {
-    /// Fused fast path: the payload lives in this very queue cell.
-    Inline {
-        src_rank: usize,
-        tag: i32,
-        len: u16,
-        data: [u8; INLINE_MAX],
-    },
-    Eager {
-        src_rank: usize,
-        tag: i32,
-        cell: usize,
-        len: usize,
-    },
-    Rndv {
-        src_rank: usize,
-        tag: i32,
-        rts: Rts,
-    },
+/// The owned form of a *parked* message — one taken off its lane before
+/// a receive wanted it: the header plus a copy of the inline bytes. A
+/// matched message never becomes one; it is delivered from its slot.
+struct Packet {
+    hdr: Header,
+    data: [u8; INLINE_MAX],
 }
 
-// SAFETY: the raw pointer inside `Rts` stays valid because the sending
-// thread blocks inside `send` until its completion word reads `seq`.
-unsafe impl Send for Packet {}
+impl Packet {
+    fn park(hdr: &Header, inline: &[u8]) -> Self {
+        let mut data = [0u8; INLINE_MAX];
+        data[..inline.len()].copy_from_slice(inline);
+        Self { hdr: *hdr, data }
+    }
 
-fn pkt_src(p: &Packet) -> usize {
-    match p {
-        Packet::Inline { src_rank, .. }
-        | Packet::Eager { src_rank, .. }
-        | Packet::Rndv { src_rank, .. } => *src_rank,
+    fn inline(&self) -> &[u8] {
+        self.hdr.inline(&self.data)
     }
 }
 
-/// Buffered unexpected packets, bucketed by source rank — the rt mirror
-/// of the core engine's source-sharded posted set: a concrete-source
-/// receive scans only its sender's backlog, so buffering traffic from
-/// many peers does not make every later receive pay an O(all-buffered)
-/// scan. Global arrival order is preserved through per-packet sequence
-/// numbers, so wildcard receives still match oldest-first.
-#[derive(Default)]
+fn tag_matches(want: Option<i32>, tag: i32) -> bool {
+    want.is_none_or(|t| t == tag)
+}
+
+/// Parked packets, bucketed by source rank — the rt mirror of the core
+/// engine's source-sharded posted set: a concrete-source receive scans
+/// only its sender's backlog, so buffering traffic from many peers does
+/// not make every later receive pay an O(all-buffered) scan. The buckets
+/// are indexed by rank and keep their buffers, so parking and re-taking
+/// in steady state allocates nothing. Lanes order messages per pair
+/// only (all MPI asks for); the sequence number orders *parked* packets
+/// across sources, so a wildcard receive takes the one parked first.
 struct UnexpectedSet {
-    by_src: HashMap<usize, VecDeque<(u64, Packet)>>,
+    by_src: Vec<VecDeque<(u64, Packet)>>,
     next_seq: u64,
 }
 
 impl UnexpectedSet {
-    fn push(&mut self, pkt: Packet) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.by_src
-            .entry(pkt_src(&pkt))
-            .or_default()
-            .push_back((seq, pkt));
+    fn new(n: usize) -> Self {
+        Self {
+            by_src: (0..n).map(|_| VecDeque::new()).collect(),
+            next_seq: 0,
+        }
     }
 
-    /// Take the oldest buffered packet matching `(src, tag)`, if any.
-    fn take(&mut self, src: Option<usize>, tag: Option<i32>) -> Option<Packet> {
-        let bucket = match src {
-            Some(s) => s,
-            // Wildcard source: the oldest tag-match of each bucket
-            // competes on its sequence number.
-            None => {
-                self.by_src
-                    .iter()
-                    .filter_map(|(&s, q)| {
-                        q.iter()
-                            .find(|(_, p)| RtComm::pkt_matches(p, src, tag))
-                            .map(|&(seq, _)| (seq, s))
-                    })
-                    .min()?
-                    .1
-            }
+    fn push(&mut self, src: usize, pkt: Packet) {
+        self.by_src[src].push_back((self.next_seq, pkt));
+        self.next_seq += 1;
+    }
+
+    /// Take the oldest parked packet matching `(src, tag)`, if any, with
+    /// its source rank.
+    fn take(&mut self, src: Option<usize>, tag: Option<i32>) -> Option<(usize, Packet)> {
+        // (sequence number, position) of a bucket's oldest tag-match.
+        let oldest = |q: &VecDeque<(u64, Packet)>| {
+            let i = q.iter().position(|(_, p)| tag_matches(tag, p.hdr.tag))?;
+            Some((q[i].0, i))
         };
-        let q = self.by_src.get_mut(&bucket)?;
-        let i = q
-            .iter()
-            .position(|(_, p)| RtComm::pkt_matches(p, src, tag))?;
-        let pkt = q.remove(i).map(|(_, p)| p);
-        if q.is_empty() {
-            self.by_src.remove(&bucket);
-        }
-        pkt
+        let (_, s, i) = match src {
+            Some(s) => oldest(&self.by_src[s]).map(|(seq, i)| (seq, s, i))?,
+            // Wildcard source: the buckets' oldest tag-matches compete
+            // on their sequence numbers.
+            None => (self.by_src.iter().enumerate())
+                .filter_map(|(s, q)| oldest(q).map(|(seq, i)| (seq, s, i)))
+                .min()?,
+        };
+        self.by_src[s].remove(i).map(|(_, p)| (s, p))
     }
 }
 
 struct Shared {
-    senders: Vec<Sender<Packet>>,
     cells: CellPool,
     /// The selected large-message backend; all transfer bytes flow
     /// through this trait object.
@@ -227,12 +199,19 @@ struct Shared {
     n: usize,
 }
 
-/// Per-rank endpoint.
+/// Per-rank endpoint. `Send` but not `Sync`: a lane has one producer,
+/// so `send(&self)` from two threads must not compile.
 pub struct RtComm {
     rank: usize,
     shared: Arc<Shared>,
-    rx: Receiver<Packet>,
+    /// Outgoing lanes, indexed by destination rank.
+    tx: Vec<LaneTx>,
+    /// Incoming lanes, indexed by source rank.
+    rx: Vec<LaneRx>,
     unexpected: UnexpectedSet,
+    /// Where a wildcard poll starts its pass over `rx`: one past the
+    /// source the last wildcard receive was served from.
+    rotor: usize,
 }
 
 impl RtComm {
@@ -274,27 +253,35 @@ impl RtComm {
         Backoff::with_spin_limit(self.shared.cfg.spin_limit)
     }
 
+    /// Publish one message on the lane to `dst`, backing off while that
+    /// lane is full.
+    fn push(&self, dst: usize, hdr: Header, inline: &[u8]) {
+        let mut bo = self.backoff();
+        while !self.tx[dst].try_push(hdr, inline) {
+            bo.snooze();
+        }
+    }
+
     /// Blocking send of `data` to `dst`.
     pub fn send(&self, dst: usize, tag: i32, data: &[u8]) {
         assert!(dst < self.shared.n && dst != self.rank, "bad destination");
-        let inline_max = self.shared.cfg.inline_max.min(INLINE_MAX);
-        if data.len() <= inline_max {
-            // Fused path: pack header + payload straight into the queue
-            // cell — no pool acquire, no second staging copy.
-            let mut buf = [0u8; INLINE_MAX];
-            buf[..data.len()].copy_from_slice(data);
-            self.shared.senders[dst].enqueue(Packet::Inline {
-                src_rank: self.rank,
-                tag,
-                len: data.len() as u16,
-                data: buf,
-            });
-            return;
+        let len = data.len();
+        let hdr = |kind, word, seq| Header {
+            kind,
+            tag,
+            len,
+            word,
+            seq,
+        };
+        if len <= self.shared.cfg.inline_max {
+            // Fused path: pack header + payload straight into the lane
+            // slot — no pool acquire, no second staging copy.
+            return self.push(dst, hdr(Kind::Inline, 0, 0), data);
         }
         // The eager cutoff is bounded by the configured cell size: a
         // payload that does not fit one pooled cell must go rendezvous,
         // whatever EAGER_MAX says.
-        if data.len() <= EAGER_MAX.min(self.shared.cells.cell_size()) {
+        if len <= EAGER_MAX.min(self.shared.cells.cell_size()) {
             // Eager: copy into a pooled cell (first copy).
             let mut bo = self.backoff();
             let cell = loop {
@@ -305,28 +292,14 @@ impl RtComm {
             };
             self.shared
                 .cells
-                .with_cell(cell, |d| d[..data.len()].copy_from_slice(data));
-            self.shared.senders[dst].enqueue(Packet::Eager {
-                src_rank: self.rank,
-                tag,
-                cell,
-                len: data.len(),
-            });
-            return;
+                .with_cell(cell, |d| d[..len].copy_from_slice(data));
+            return self.push(dst, hdr(Kind::Eager, cell, 0), &[]);
         }
         // Rendezvous: announce, let the backend move the payload, then
         // hold the buffer until the receiver confirms completion.
         let word = &self.shared.rndv[self.rank];
         let seq = word.sent.fetch_add(1, Ordering::Relaxed) + 1;
-        self.shared.senders[dst].enqueue(Packet::Rndv {
-            src_rank: self.rank,
-            tag,
-            rts: Rts {
-                src: data.as_ptr(),
-                len: data.len(),
-                seq,
-            },
-        });
+        self.push(dst, hdr(Kind::Rndv, data.as_ptr() as usize, seq), &[]);
         self.shared.backend.send_payload(self.rank, dst, data);
         let mut bo = self.backoff();
         let deadline = self
@@ -356,40 +329,42 @@ impl RtComm {
     }
 
     /// Non-blocking send of an inline-sized payload (at most the
-    /// configured `inline_max`): either the packet lands in `dst`'s
-    /// receive queue or the queue is full and [`QueueFull`] comes back —
-    /// the bounded queue's backpressure surfaced to the caller instead
-    /// of absorbed by `send`'s backoff loop.
+    /// configured `inline_max`): either the message lands on the lane to
+    /// `dst` or that lane is full and [`QueueFull`] comes back — the
+    /// bounded lane's backpressure surfaced to the caller instead of
+    /// absorbed by `send`'s backoff loop. Full is per pair: another
+    /// sender's lane to `dst` is not affected.
     pub fn try_send(&self, dst: usize, tag: i32, data: &[u8]) -> Result<(), QueueFull<()>> {
         assert!(dst < self.shared.n && dst != self.rank, "bad destination");
-        let inline_max = self.shared.cfg.inline_max.min(INLINE_MAX);
+        let inline_max = self.shared.cfg.inline_max;
         assert!(
             data.len() <= inline_max,
             "try_send is the inline path: {} bytes exceeds inline_max {}",
             data.len(),
             inline_max
         );
-        let mut buf = [0u8; INLINE_MAX];
-        buf[..data.len()].copy_from_slice(data);
-        self.shared.senders[dst]
-            .try_enqueue(Packet::Inline {
-                src_rank: self.rank,
-                tag,
-                len: data.len() as u16,
-                data: buf,
-            })
-            .map_err(|QueueFull(_)| QueueFull(()))
+        let hdr = Header {
+            kind: Kind::Inline,
+            tag,
+            len: data.len(),
+            word: 0,
+            seq: 0,
+        };
+        if self.tx[dst].try_push(hdr, data) {
+            Ok(())
+        } else {
+            Err(QueueFull(()))
+        }
     }
 
     /// Admission batching: non-blocking send of a run of inline-sized
-    /// payloads to `dst`, in order, stopping at the first full queue.
+    /// payloads to `dst`, in order, stopping at the first full slot.
     /// Returns how many were admitted (`payloads.len()` when the whole
     /// batch landed). Stopping at the first [`QueueFull`] — instead of
     /// skipping ahead — is what keeps the admitted stream per-pair
-    /// FIFO: a later payload never overtakes one the queue rejected.
-    /// The serving layer's submit path batches arrivals through this,
-    /// amortizing the doorbell/turnstile traffic of one enqueue across
-    /// a burst.
+    /// FIFO: a later payload never overtakes one the lane rejected.
+    /// It is a loop over [`RtComm::try_send`], nothing more; the serving
+    /// layer's submit path hands its bursts to it.
     pub fn try_send_batch(&self, dst: usize, tag: i32, payloads: &[&[u8]]) -> usize {
         for (i, p) in payloads.iter().enumerate() {
             if self.try_send(dst, tag, p).is_err() {
@@ -402,12 +377,23 @@ impl RtComm {
     /// Blocking receive from `src` with `tag` into `dst`; returns the
     /// received length.
     pub fn recv(&mut self, src: Option<usize>, tag: Option<i32>, dst: &mut [u8]) -> usize {
-        let pkt = self.match_packet(src, tag);
-        self.deliver(pkt, dst)
+        // Previously parked packets first: they are older than anything
+        // still on their source's lane.
+        if let Some(len) = self.take_parked(src, tag, dst) {
+            return len;
+        }
+        let mut bo = self.backoff();
+        loop {
+            match self.poll(src, tag, dst) {
+                (Some(len), _) => return len,
+                (None, true) => bo.reset(),
+                (None, false) => bo.snooze(),
+            }
+        }
     }
 
-    /// Non-blocking receive: deliver a matching packet if one is
-    /// already buffered or arrives in a single queue drain, else
+    /// Non-blocking receive: deliver a matching message if one is
+    /// already parked or arrives in a single pass over the lanes, else
     /// `None`. This is the service worker's poll primitive — a worker
     /// multiplexing requests with health probes cannot park inside
     /// [`RtComm::recv`]'s backoff loop.
@@ -417,81 +403,121 @@ impl RtComm {
         tag: Option<i32>,
         dst: &mut [u8],
     ) -> Option<usize> {
-        if let Some(p) = self.unexpected.take(src, tag) {
-            return Some(self.deliver(p, dst));
+        if let Some(len) = self.take_parked(src, tag, dst) {
+            return Some(len);
         }
-        let batch = self.shared.cfg.recv_batch.max(1);
-        let mut found: Option<Packet> = None;
-        let unexpected = &mut self.unexpected;
-        self.rx.dequeue_batch(batch, |p| {
-            if found.is_none() && Self::pkt_matches(&p, src, tag) {
-                found = Some(p);
-            } else {
-                unexpected.push(p);
-            }
-        });
-        found.map(|p| self.deliver(p, dst))
+        self.poll(src, tag, dst).0
     }
 
-    /// Move one matched packet's payload into `dst` (the shared tail of
-    /// [`RtComm::recv`] and [`RtComm::try_recv`]).
-    fn deliver(&mut self, pkt: Packet, dst: &mut [u8]) -> usize {
-        match pkt {
-            Packet::Inline { len, data, .. } => {
-                let len = len as usize;
-                assert!(len <= dst.len(), "receive buffer too small");
-                // The one and only copy out of the queue cell.
-                dst[..len].copy_from_slice(&data[..len]);
-                len
+    fn take_parked(
+        &mut self,
+        src: Option<usize>,
+        tag: Option<i32>,
+        dst: &mut [u8],
+    ) -> Option<usize> {
+        let (s, p) = self.unexpected.take(src, tag)?;
+        Some(Self::deliver(
+            &self.shared,
+            self.rank,
+            s,
+            &p.hdr,
+            p.inline(),
+            dst,
+        ))
+    }
+
+    /// One pass over the incoming lanes — the wanted source first, for a
+    /// wildcard the one after the source last served — taking at most
+    /// `recv_batch` slots from each. The first match is delivered
+    /// straight from its slot (the ping-pong hot path never builds a
+    /// [`Packet`]); everything else parks. Every lane is drained on every pass, whatever the
+    /// receive wants, so a sender to this rank is never held up by a
+    /// receive posted for someone else. Returns the delivered length, if
+    /// any, and whether any slot was taken.
+    fn poll(
+        &mut self,
+        src: Option<usize>,
+        tag: Option<i32>,
+        dst: &mut [u8],
+    ) -> (Option<usize>, bool) {
+        let n = self.shared.n;
+        let batch = self.shared.cfg.recv_batch.max(1);
+        let start = src.unwrap_or(self.rotor);
+        let (shared, rank, unexpected) = (&*self.shared, self.rank, &mut self.unexpected);
+        let (mut got, mut took) = (None, false);
+        for s in (start..n).chain(0..start).filter(|&s| s != rank) {
+            let wanted = src.is_none_or(|x| x == s);
+            for _ in 0..batch {
+                let taken = self.rx[s].take(|hdr, inline| {
+                    if got.is_none() && wanted && tag_matches(tag, hdr.tag) {
+                        got = Some(Self::deliver(shared, rank, s, hdr, inline, dst));
+                        if src.is_none() {
+                            self.rotor = if s + 1 < n { s + 1 } else { 0 };
+                        }
+                    } else {
+                        unexpected.push(s, Packet::park(hdr, inline));
+                    }
+                });
+                if taken.is_none() {
+                    break;
+                }
+                took = true;
             }
-            Packet::Eager { cell, len, .. } => {
-                assert!(len <= dst.len(), "receive buffer too small");
+        }
+        (got, took)
+    }
+
+    /// Move one matched message's payload into `dst` — from its lane
+    /// slot or from a parked [`Packet`], `inline` being the payload
+    /// bytes of an inline message either way.
+    fn deliver(
+        shared: &Shared,
+        rank: usize,
+        src_rank: usize,
+        hdr: &Header,
+        inline: &[u8],
+        dst: &mut [u8],
+    ) -> usize {
+        let len = hdr.len;
+        assert!(len <= dst.len(), "receive buffer too small");
+        let dst = &mut dst[..len];
+        match hdr.kind {
+            // The one and only copy out of the lane slot.
+            Kind::Inline => dst.copy_from_slice(inline),
+            Kind::Eager => {
                 // Second copy: cell → user buffer; then recycle the cell.
-                self.shared
+                let cell = hdr.word;
+                shared
                     .cells
-                    .with_cell(cell, |d| dst[..len].copy_from_slice(&d[..len]));
-                self.shared.cells.release(cell);
-                len
+                    .with_cell(cell, |d| dst.copy_from_slice(&d[..len]));
+                shared.cells.release(cell);
             }
-            Packet::Rndv { src_rank, rts, .. } => {
-                assert!(rts.len <= dst.len(), "receive buffer too small");
-                // SAFETY: the sender keeps `src` alive until we publish
-                // `seq` below.
-                let src_slice = unsafe { std::slice::from_raw_parts(rts.src, rts.len) };
-                let t0 = self
-                    .shared
-                    .cfg
-                    .tuner
-                    .as_ref()
-                    .map(|_| std::time::Instant::now());
-                self.shared.backend.recv_payload(
-                    src_rank,
-                    self.rank,
-                    src_slice,
-                    &mut dst[..rts.len],
-                );
+            Kind::Rndv => {
+                // SAFETY: `word` is the address of the sender's `len`
+                // bytes, which it keeps alive and unmodified (it blocks
+                // inside `send`) until we publish `seq` below.
+                let src_slice = unsafe { std::slice::from_raw_parts(hdr.word as *const u8, len) };
+                let t0 = (shared.cfg.tuner.as_ref()).map(|_| std::time::Instant::now());
+                shared.backend.recv_payload(src_rank, rank, src_slice, dst);
                 // Mirror of the simulated stack's completion sampling:
                 // every rendezvous completion feeds the tuner, on the
                 // receiver.
-                if let (Some(tuner), Some(t0)) = (&self.shared.cfg.tuner, t0) {
+                if let (Some(tuner), Some(t0)) = (&shared.cfg.tuner, t0) {
                     tuner.record_transfer(
                         src_rank,
-                        self.rank,
+                        rank,
                         &RtTransferSample {
-                            backend: self.shared.backend.name(),
-                            offload: self.shared.backend.is_offload(),
-                            bytes: rts.len,
+                            backend: shared.backend.name(),
+                            offload: shared.backend.is_offload(),
+                            bytes: len,
                             nanos: t0.elapsed().as_nanos() as u64,
                         },
                     );
                 }
-                let len = rts.len;
-                self.shared.rndv[src_rank]
-                    .done
-                    .store(rts.seq, Ordering::Release);
-                len
+                shared.rndv[src_rank].done.store(hdr.seq, Ordering::Release);
             }
         }
+        len
     }
 
     /// Blocking vectored send: the `(offset, len)` blocks of `buf` form
@@ -539,48 +565,6 @@ impl RtComm {
         }
         got
     }
-
-    fn pkt_matches(pkt: &Packet, src: Option<usize>, tag: Option<i32>) -> bool {
-        let (s, t) = match pkt {
-            Packet::Inline { src_rank, tag, .. } => (*src_rank, *tag),
-            Packet::Eager { src_rank, tag, .. } => (*src_rank, *tag),
-            Packet::Rndv { src_rank, tag, .. } => (*src_rank, *tag),
-        };
-        src.map(|x| x == s).unwrap_or(true) && tag.map(|x| x == t).unwrap_or(true)
-    }
-
-    fn match_packet(&mut self, src: Option<usize>, tag: Option<i32>) -> Packet {
-        // Previously buffered packets first, in arrival order.
-        if let Some(p) = self.unexpected.take(src, tag) {
-            return p;
-        }
-        let batch = self.shared.cfg.recv_batch.max(1);
-        let mut bo = self.backoff();
-        loop {
-            // Drain a batch per poll (one chained recycle). The first
-            // match is picked out in the sink — the pingpong hot path
-            // never touches the unexpected buffer — and everything else
-            // parks there. No rescan needed: packets parked by *this*
-            // call were already checked in the sink.
-            let mut found: Option<Packet> = None;
-            let unexpected = &mut self.unexpected;
-            let got = self.rx.dequeue_batch(batch, |p| {
-                if found.is_none() && Self::pkt_matches(&p, src, tag) {
-                    found = Some(p);
-                } else {
-                    unexpected.push(p);
-                }
-            });
-            if let Some(p) = found {
-                return p;
-            }
-            if got == 0 {
-                bo.snooze();
-            } else {
-                bo.reset();
-            }
-        }
-    }
 }
 
 /// Run `n` rank-threads with the given large-message strategy. Each
@@ -625,15 +609,18 @@ where
 {
     assert!(n >= 1);
     let cfg = cfg.for_ranks(n);
-    let mut senders = Vec::with_capacity(n);
-    let mut receivers = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = nem_queue_cfg(cfg.queue_capacity, cfg.spin_limit);
-        senders.push(tx);
-        receivers.push(rx);
+    // One lane per ordered pair: `txs[src][dst]` feeds `rxs[dst][src]`.
+    // The diagonal exists for plain indexing and is never used: one slot.
+    let mut txs: Vec<Vec<LaneTx>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
+    let mut rxs: Vec<Vec<LaneRx>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
+    for (src, tx_row) in txs.iter_mut().enumerate() {
+        for (dst, rx_row) in rxs.iter_mut().enumerate() {
+            let (tx, rx) = lane(if src == dst { 1 } else { cfg.queue_capacity });
+            tx_row.push(tx);
+            rx_row.push(rx);
+        }
     }
     let shared = Arc::new(Shared {
-        senders,
         cells: CellPool::new(cfg.cells, cfg.cell_size),
         backend,
         rndv: (0..n).map(|_| RndvWord::default()).collect(),
@@ -641,15 +628,17 @@ where
         n,
     });
     std::thread::scope(|s| {
-        for (rank, rx) in receivers.into_iter().enumerate() {
+        for (rank, (tx, rx)) in txs.into_iter().zip(rxs).enumerate() {
             let shared = Arc::clone(&shared);
             let body = &body;
             s.spawn(move || {
                 let mut comm = RtComm {
                     rank,
                     shared,
+                    tx,
                     rx,
-                    unexpected: UnexpectedSet::default(),
+                    unexpected: UnexpectedSet::new(n),
+                    rotor: 0,
                 };
                 body(&mut comm);
             });
@@ -881,6 +870,135 @@ mod tests {
                 assert!(buf.iter().all(|&b| b == 1));
                 comm.recv(Some(0), Some(7), &mut buf);
                 assert!(buf.iter().all(|&b| b == 2));
+            }
+        });
+    }
+
+    #[test]
+    fn rtcomm_is_send_and_not_sync() {
+        fn is_send<T: Send>() {}
+        is_send::<RtComm>();
+        // `some_item` resolves only while exactly one impl applies: were
+        // `RtComm` ever `Sync`, both would and this stops compiling.
+        trait AmbiguousIfSync<A> {
+            fn some_item() {}
+        }
+        impl<T: ?Sized> AmbiguousIfSync<()> for T {}
+        impl<T: ?Sized + Sync> AmbiguousIfSync<u8> for T {}
+        <RtComm as AmbiguousIfSync<_>>::some_item();
+    }
+
+    #[test]
+    fn wildcard_receiver_keeps_per_pair_fifo_and_starves_no_sender() {
+        const PER: usize = 64;
+        let cfg = RtConfig {
+            queue_capacity: PER,
+            ..RtConfig::default()
+        };
+        let batch = cfg.recv_batch;
+        let filled = std::sync::Barrier::new(4);
+        run_rt_cfg(4, RtLmt::Direct, cfg, |comm| {
+            let me = comm.rank();
+            if me != 0 {
+                // Fill the lane to rank 0 before it takes anything, then
+                // keep going through the blocking path.
+                for i in 0..PER {
+                    assert!(comm.try_send(0, 1, &[me as u8, i as u8]).is_ok());
+                }
+                filled.wait();
+                for i in PER..4 * PER {
+                    comm.send(0, 1, &[me as u8, i as u8]);
+                }
+                return;
+            }
+            filled.wait();
+            let mut next = [0usize; 4];
+            let mut buf = [0u8; 2];
+            for got in 0..3 * 4 * PER {
+                assert_eq!(comm.recv(None, Some(1), &mut buf), 2);
+                let (src, i) = (buf[0] as usize, buf[1] as usize);
+                assert_eq!(i, next[src] % 256, "sender {src} reordered");
+                next[src] += 1;
+                if got + 1 == 3 * batch {
+                    // Every lane was full: one pass takes a batch from
+                    // each, so nobody waits for another's backlog.
+                    assert!(next[1..].iter().all(|&n| n > 0), "starved: {next:?}");
+                }
+            }
+            assert_eq!(next[1..], [4 * PER; 3]);
+        });
+    }
+
+    #[test]
+    fn blocked_recv_drains_every_lane() {
+        // Rank 0 blocks in a receive from rank 1, which only sends once
+        // rank 2 has pushed ten lanes' worth of messages at rank 0: they
+        // complete only if the blocked receive keeps draining lane 2→0.
+        const MSGS: usize = 40;
+        let cfg = RtConfig {
+            queue_capacity: 4,
+            ..RtConfig::default()
+        };
+        run_rt_cfg(3, RtLmt::Direct, cfg, |comm| {
+            let mut buf = [0u8; 8];
+            match comm.rank() {
+                0 => {
+                    comm.recv(Some(1), Some(2), &mut buf);
+                    for i in 0..MSGS {
+                        comm.recv(Some(2), Some(1), &mut buf);
+                        assert_eq!(buf[0], i as u8, "parked stream out of order");
+                    }
+                }
+                1 => {
+                    comm.recv(Some(2), Some(3), &mut buf);
+                    comm.send(0, 2, &[1]);
+                }
+                _ => {
+                    for i in 0..MSGS {
+                        comm.send(0, 1, &[i as u8; 8]);
+                    }
+                    comm.send(1, 3, &[1]);
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn queue_full_is_per_pair() {
+        let cfg = RtConfig {
+            queue_capacity: 2,
+            ..RtConfig::default()
+        };
+        let step = std::sync::Barrier::new(3);
+        run_rt_cfg(3, RtLmt::Direct, cfg, |comm| {
+            let mut buf = [0u8; 1];
+            match comm.rank() {
+                0 => {
+                    assert_eq!(comm.try_send(1, 7, &[1]), Ok(()));
+                    assert_eq!(comm.try_send(1, 7, &[2]), Ok(()));
+                    assert_eq!(comm.try_send(1, 7, &[3]), Err(QueueFull(())));
+                    step.wait();
+                    step.wait();
+                    assert_eq!(comm.try_send(1, 7, &[3]), Err(QueueFull(())));
+                    step.wait();
+                }
+                1 => {
+                    // Take nothing until both senders have had their say.
+                    for _ in 0..3 {
+                        step.wait();
+                    }
+                    for (src, want) in [(0, 1), (0, 2), (2, 9)] {
+                        comm.recv(Some(src), Some(7), &mut buf);
+                        assert_eq!(buf[0], want);
+                    }
+                }
+                _ => {
+                    step.wait();
+                    // Lane 0→1 is full; lane 2→1 still admits.
+                    assert_eq!(comm.try_send(1, 7, &[9]), Ok(()));
+                    step.wait();
+                    step.wait();
+                }
             }
         });
     }

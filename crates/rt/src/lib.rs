@@ -8,7 +8,11 @@
 //!
 //! * [`queue`] — the Nemesis lock-free MPSC queue (Vyukov-style
 //!   intrusive list: multi-producer `swap` on the tail, single-consumer
-//!   traversal), the structure behind every Nemesis receive queue [6].
+//!   traversal), the structure behind every Nemesis receive queue [6];
+//!   here it carries the offload engine's descriptors.
+//! * [`lane`] — the bounded SPSC ring, one per ordered rank pair, that
+//!   [`comm`] hands every message over: plain stores and one Release
+//!   flag per side, no locked instruction (the Nemesis "fastbox" role).
 //! * [`cellpool`] — a Treiber-stack free list of fixed-size message
 //!   cells with packed ABA generation tags.
 //! * [`copy`] — the three intranode copy strategies as real-memory
@@ -25,9 +29,8 @@
 //!   `nemesis-model` models the simulated tuner also runs (per-pair
 //!   chunk sweet spots from observed per-chunk times, the backend and
 //!   collective bandits) plus the host-only NT-store crossover.
-
 //! * [`comm`] — a miniature message-passing runtime tying the pieces
-//!   together: rank-threads with MPSC receive queues, eager cells, and a
+//!   together: rank-threads joined by per-pair lanes, eager cells, and a
 //!   selectable large-message strategy (double-buffer / direct /
 //!   offload), mirroring the simulated `nemesis-core` protocol on real
 //!   hardware.
@@ -43,6 +46,7 @@ pub mod cellpool;
 pub mod coll;
 pub mod comm;
 pub mod copy;
+pub mod lane;
 pub mod lmt;
 pub mod queue;
 pub mod tuner;

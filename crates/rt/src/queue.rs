@@ -1,7 +1,8 @@
 //! The Nemesis lock-free MPSC receive queue.
 //!
 //! Nemesis gives every process one receive queue that any local process
-//! can enqueue onto [6]. The classic implementation is an intrusive
+//! can enqueue onto [6] (and polls a per-pair "fastbox" ahead of it —
+//! here [`lane`](crate::lane)). The classic implementation is an intrusive
 //! Vyukov MPSC list: producers atomically `swap` the tail and link the
 //! previous node; the single consumer walks `next` pointers. This
 //! version keeps that algorithm but removes the per-message heap
@@ -28,15 +29,21 @@
 //! [`Receiver`] is unique and owns the consumer cursor, so single-consumer
 //! discipline is enforced by the type system rather than by comments.
 //!
-//! **Scale-out note.** The consumer needs no doorbell bitmap, however
-//! many producers exist: all producers fan into the *one* fused MPSC
-//! list, so an idle poll reads exactly one shared word (`tail`) — the
-//! queue's own tail pointer plays the role the core engine's
-//! doorbell word plays over its shared envelope queue. Per-poll cost
-//! is flat in the rank count by construction; what scales with peers
-//! on the rt stack is matching state, which `RtComm` shards by source
-//! (see `comm::UnexpectedSet`) the way the core engine shards its
-//! posted set and rendezvous ops.
+//! **Scale-out note.** This queue is what still needs *many*
+//! producers: the [`OffloadEngine`](crate::copy::OffloadEngine)'s
+//! descriptor queue, which every rank submits to. `rt::comm` no longer
+//! rides it: between two ranks there is exactly one producer, and a
+//! per-pair [`lane`](crate::lane) hands a message over with plain stores
+//! where an enqueue here costs two locked instructions (the free-stack
+//! CAS and the tail `swap`), each of which must first drain a store to
+//! a line the consumer still holds — so consecutive messages cannot
+//! overlap their misses. What an MPSC list buys in exchange is an idle
+//! poll that reads one shared word (`tail`) however many producers
+//! exist; the lanes' idle poll reads one line per incoming lane, which
+//! at the rank counts rt runs is cheaper than any doorbell word would
+//! be. `free.head` and `tail` sit on a cache line each: the consumer's
+//! recycle and every producer's pop CAS the first, every producer swaps
+//! the second, and packed together each invalidated the other.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -77,13 +84,19 @@ struct Cell<T> {
     value: UnsafeCell<Option<T>>,
 }
 
+/// The tail word on a cache line of its own: every producer swaps it,
+/// and beside `free.head` (CAS-ed by the consumer's recycle and every
+/// producer's pop) each of the two would invalidate the other.
+#[repr(align(64))]
+struct Tail(AtomicU32);
+
 struct Shared<T> {
     /// The pre-allocated cell slab; never grows, never shrinks.
     cells: Box<[Cell<T>]>,
-    /// Recycled-cell stack (allocation-free enqueue).
+    /// Recycled-cell stack (allocation-free enqueue), cache-line aligned.
     free: FreeStack,
     /// Index of the most recently enqueued cell; producers swap this.
-    tail: AtomicU32,
+    tail: Tail,
     /// Backoff cap for producers blocked on an exhausted slab.
     spin_limit: u32,
 }
@@ -141,7 +154,7 @@ impl<T> Sender<T> {
         unsafe { *cell.value.get() = Some(value) };
         // AcqRel: our cell's initialization happens-before any consumer
         // that observes it via the predecessor's `next`.
-        let prev = self.shared.tail.swap(idx as u32, Ordering::AcqRel) as usize;
+        let prev = self.shared.tail.0.swap(idx as u32, Ordering::AcqRel) as usize;
         // The predecessor is valid: cells are only recycled by the
         // consumer after their `next` is non-NIL, and only we write this
         // `next`.
@@ -271,7 +284,7 @@ pub fn nem_queue_cfg<T>(capacity: usize, spin_limit: u32) -> (Sender<T>, Receive
     let shared = Arc::new(Shared {
         cells,
         free,
-        tail: AtomicU32::new(stub),
+        tail: Tail(AtomicU32::new(stub)),
         spin_limit,
     });
     (
@@ -294,6 +307,20 @@ mod tests {
     fn cells_are_cache_line_aligned() {
         assert_eq!(std::mem::align_of::<Cell<u64>>(), 64);
         assert!(std::mem::size_of::<Cell<u64>>() >= 64);
+    }
+
+    #[test]
+    fn tail_and_free_head_sit_on_different_cache_lines() {
+        use std::mem::{align_of, offset_of, size_of};
+        assert_eq!(align_of::<Tail>(), 64);
+        assert_eq!(
+            size_of::<Tail>(),
+            64,
+            "nothing else fits on the tail's line"
+        );
+        assert_eq!(align_of::<FreeStack>(), 64);
+        let (free, tail) = (offset_of!(Shared<u64>, free), offset_of!(Shared<u64>, tail));
+        assert!(free.abs_diff(tail) >= 64, "free @{free}, tail @{tail}");
     }
 
     #[test]

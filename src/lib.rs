@@ -21,9 +21,9 @@
 //!   [`core::LmtSelect::Dynamic`] selector, noncontiguous transfers, and
 //!   MPI-like point-to-point + collective operations.
 //! * [`rt`] — the same data structures on real threads and atomics
-//!   (lock-free MPSC queue, cell pool, copy engines behind the mirror
-//!   `RtLmtBackend` trait, a mini runtime with collectives),
-//!   benchmarked with Criterion.
+//!   (lock-free MPSC queue, per-pair SPSC lanes, cell pool, copy
+//!   engines behind the mirror `RtLmtBackend` trait, a mini runtime
+//!   with collectives), benchmarked with Criterion.
 //! * [`model`] — the clock-free online models (EWMA cell, bandit, chunk
 //!   sweet spot, collective grid, rank group) both tuners execute.
 //! * [`workloads`] — IMB-style microbenchmarks, NAS proxy kernels, and

@@ -3,7 +3,8 @@
 //! allocations across hundreds of thousands of enqueue/dequeue and
 //! batched-drain operations. The seed's queue paid one `Box` per
 //! enqueue; the pooled slab pays zero — this test is the regression
-//! fence for that property.
+//! fence for that property, and for the same property of `rt::comm`'s
+//! per-pair lanes, its rendezvous and its parked-packet set.
 //!
 //! The counter is thread-local: the libtest harness allocates from its
 //! own threads (output capture, timers) and must not pollute the
@@ -118,44 +119,98 @@ fn backend_selection_is_allocation_free_once_the_pair_exists() {
     );
 }
 
+/// Ping-pong `bytes`-byte messages between two ranks and hold both
+/// threads to zero allocations once warm.
+fn round_trips_allocate_nothing(lmt: nemesis::rt::RtLmt, bytes: usize) {
+    nemesis::rt::run_rt(2, lmt, |comm| {
+        let peer = 1 - comm.rank();
+        let data = vec![comm.rank() as u8 + 1; bytes];
+        let mut buf = vec![0u8; bytes];
+        let mut round_trip = |comm: &mut nemesis::rt::RtComm| {
+            if comm.rank() == 0 {
+                comm.send(peer, 1, &data);
+                comm.recv(Some(peer), Some(1), &mut buf);
+            } else {
+                comm.recv(Some(peer), Some(1), &mut buf);
+                comm.send(peer, 1, &data);
+            }
+        };
+        // Warm: both copy rings' first touch.
+        for _ in 0..8 {
+            round_trip(comm);
+        }
+        let before = local_allocs();
+        for _ in 0..1_000 {
+            round_trip(comm);
+        }
+        let allocated = local_allocs() - before;
+        assert!(buf.iter().all(|&b| b == peer as u8 + 1));
+        assert_eq!(
+            allocated,
+            0,
+            "rank {} allocated {allocated} time(s) over 1 000 {lmt:?} round trips of {bytes} B",
+            comm.rank()
+        );
+    });
+}
+
 /// A rendezvous completes through a per-rank completion word that
 /// exists before the first message: once the ring is first-touched,
 /// neither the sending nor the receiving thread touches the heap.
 #[test]
 fn rendezvous_round_trips_are_allocation_free_once_warm() {
-    use nemesis::rt::{run_rt, RtLmt};
-
-    const BYTES: usize = 64 << 10;
+    use nemesis::rt::RtLmt;
     for lmt in [RtLmt::DoubleBuffer, RtLmt::Direct] {
-        run_rt(2, lmt, |comm| {
-            let peer = 1 - comm.rank();
-            let data = vec![comm.rank() as u8 + 1; BYTES];
-            let mut buf = vec![0u8; BYTES];
-            let mut round_trip = |comm: &mut nemesis::rt::RtComm| {
-                if comm.rank() == 0 {
-                    comm.send(peer, 1, &data);
-                    comm.recv(Some(peer), Some(1), &mut buf);
-                } else {
-                    comm.recv(Some(peer), Some(1), &mut buf);
-                    comm.send(peer, 1, &data);
-                }
-            };
-            // Warm: both rings' first touch, the unexpected-set map.
-            for _ in 0..8 {
-                round_trip(comm);
-            }
-            let before = local_allocs();
-            for _ in 0..1_000 {
-                round_trip(comm);
-            }
-            let allocated = local_allocs() - before;
-            assert!(buf.iter().all(|&b| b == peer as u8 + 1));
-            assert_eq!(
-                allocated,
-                0,
-                "rank {} allocated {allocated} time(s) over 1 000 {lmt:?} round trips",
-                comm.rank()
-            );
-        });
+        round_trips_allocate_nothing(lmt, 64 << 10);
     }
+}
+
+/// The two small-message shapes over the per-pair lanes: a payload that
+/// rides inside the lane slot, and one that goes through a pooled cell.
+#[test]
+fn inline_and_eager_round_trips_are_allocation_free() {
+    for bytes in [64, 4 << 10] {
+        round_trips_allocate_nothing(nemesis::rt::RtLmt::Direct, bytes);
+    }
+}
+
+/// Receiving tag B before tag A parks A and re-takes it: the parked-set
+/// buckets are indexed by source rank and keep their buffers, so the
+/// cycle stops allocating once each bucket has grown once.
+#[test]
+fn warm_park_and_retake_cycle_is_allocation_free() {
+    use nemesis::rt::{run_rt, RtLmt};
+    const TAG_A: i32 = 1;
+    const TAG_B: i32 = 2;
+    const TAG_ACK: i32 = 3;
+    run_rt(2, RtLmt::Direct, |comm| {
+        let mut buf = [0u8; 64];
+        let mut cycle = |comm: &mut nemesis::rt::RtComm| {
+            if comm.rank() == 0 {
+                comm.send(1, TAG_A, &[0xA; 64]);
+                comm.send(1, TAG_B, &[0xB; 48]);
+                comm.recv(Some(1), Some(TAG_ACK), &mut buf);
+            } else {
+                assert_eq!(comm.recv(Some(0), Some(TAG_B), &mut buf), 48);
+                assert!(buf[..48].iter().all(|&b| b == 0xB));
+                assert_eq!(comm.recv(None, Some(TAG_A), &mut buf), 64);
+                assert!(buf.iter().all(|&b| b == 0xA));
+                comm.send(0, TAG_ACK, &[1]);
+            }
+        };
+        for _ in 0..8 {
+            cycle(comm);
+        }
+        let before = local_allocs();
+        for _ in 0..1_000 {
+            cycle(comm);
+        }
+        let allocated = local_allocs() - before;
+        assert_eq!(
+            allocated,
+            0,
+            "rank {} allocated {allocated} time(s) over 1 000 park/re-take cycles",
+            comm.rank()
+        );
+    });
 }
