@@ -92,7 +92,7 @@ type Push = Box<dyn Fn(u64) + Send>;
 type Pop = Box<dyn FnMut() -> Option<u64> + Send>;
 
 fn lane_pair() -> (Push, Pop) {
-    let (tx, mut rx) = lane(512);
+    let (tx, mut rx) = lane(512, 0);
     let push = move |i: u64| {
         let hdr = Header {
             kind: Kind::Inline,

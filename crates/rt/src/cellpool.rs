@@ -5,10 +5,12 @@
 //! over *indices* (not pointers) with a packed generation tag that
 //! avoids the ABA problem without hazard pointers — the head word is
 //! `(generation << 32) | index`, and every successful pop bumps the
-//! generation. [`CellPool`] layers byte storage on top for the eager
-//! path; the receive queue (`crate::queue`) recycles its cache-aligned
+//! generation. The MPSC queue (`crate::queue`) recycles its cache-aligned
 //! packet cells through a `FreeStack` of its own, which is what makes
-//! its enqueue path allocation-free.
+//! its enqueue path allocation-free. [`CellPool`] layers byte storage on
+//! top; it is off the comm path — eager payloads travel in each lane's
+//! byte ring (`crate::lane`) — and is kept for the benchmark's
+//! `rt.cellpool.*` probes and the `rt_queue` bench.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -218,13 +218,10 @@ fn bcast_binomial(
     }
 }
 
-/// Chain-bcast segment size — past the eager cutoff on purpose. An
-/// eager segment holds a cell of the *shared* pool until the next hop
-/// receives it, and a forwarder needs a cell to send on: a hop that
-/// runs ahead (its successor descheduled) parks every cell in the
-/// successor's queue, and the successor then waits forever for a cell
-/// only its own receives could free. A rendezvous segment holds no
-/// cell and paces each hop to its successor.
+/// Chain-bcast segment size — past the eager cutoff on purpose: a
+/// rendezvous segment moves with one copy and paces each hop to its
+/// successor, so a hop cannot run ahead and pile parked segments up in
+/// the next one's unexpected set.
 const CHAIN_SEG: usize = 4 * EAGER_MAX;
 
 /// Chain broadcast: the group is one line rooted at `root`, and the

@@ -2,7 +2,7 @@
 //! substrate pieces: ranks are OS threads, joined pairwise by one
 //! single-producer/single-consumer [`lane`](crate::lane) per ordered
 //! rank pair; tiny messages ride *inside* the lane slot (one fused
-//! pack-into-slot write), small messages travel through pooled cells
+//! pack-into-slot write), small messages through the lane's byte ring
 //! (two copies), large messages through the selected
 //! [`RtLmtBackend`](crate::lmt::RtLmtBackend) — this module never names
 //! a concrete strategy, exactly as `nemesis_core::comm` drives its
@@ -17,20 +17,20 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::backoff::Backoff;
-use crate::cellpool::CellPool;
 use crate::lane::{lane, Header, Kind, LaneRx, LaneTx};
 use crate::lmt::{backend_for_schedule, RtLmtBackend};
 use crate::queue::QueueFull;
 use crate::tuner::{RtChunkScheduleSelect, RtTransferSample, RtTuner};
 
 /// Payload bytes a message can carry inline, inside the lane slot
-/// itself. Contiguous sends at or below this size skip the cell pool
+/// itself. Contiguous sends at or below this size skip the byte ring
 /// entirely: one fused write packs header and payload into the slot, so
 /// the message touches each cache line exactly once on each side.
 pub use crate::lane::INLINE_MAX;
 pub use crate::lmt::RtLmt;
 
-/// Messages at or below this size go eager (through cells).
+/// Messages at or below this size go eager (through the lane's byte
+/// ring).
 pub const EAGER_MAX: usize = 16 << 10;
 
 /// Runtime tunables — the rt mirror of the queue/backoff knobs in
@@ -42,9 +42,12 @@ pub struct RtConfig {
     /// have in flight to one receiver before `try_send` reports
     /// [`QueueFull`]).
     pub queue_capacity: usize,
-    /// Pooled eager cells shared by all ranks.
+    /// Eager budget per ordered rank pair, in cells: each pair's byte
+    /// ring holds `cells × cell_size` bytes (at least one cell), and a
+    /// payload takes its own length of it rounded up to a cache line.
     pub cells: usize,
-    /// Payload bytes per pooled cell.
+    /// Largest eager payload — larger sends go rendezvous, as do sends
+    /// above [`EAGER_MAX`] — and the unit of `cells`.
     pub cell_size: usize,
     /// Contiguous payloads at or below this ride inline in the lane
     /// slot (clamped to [`INLINE_MAX`]). 0 disables the inline path.
@@ -52,7 +55,9 @@ pub struct RtConfig {
     /// Spin cap fed to every [`Backoff`] the runtime creates (see
     /// `Backoff::with_spin_limit`).
     pub spin_limit: u32,
-    /// Slots the consumer takes per incoming lane on each poll.
+    /// Slots a poll takes from each incoming lane when it finds no
+    /// match, parking them: what keeps a receive blocked on one peer
+    /// draining the others. A poll that finds its match stops there.
     pub recv_batch: usize,
     /// Chunk schedule of the double-buffer ring (the rt mirror of
     /// `NemesisConfig::chunk_schedule`, bridged by `nemesis::rt_config_from`).
@@ -93,10 +98,10 @@ impl Default for RtConfig {
 }
 
 impl RtConfig {
-    /// Scale the pooled-cell count for `n` ranks (the former hard-wired
-    /// sizing rule) and clamp the inline cutoff to what a slot holds.
-    fn for_ranks(mut self, n: usize) -> Self {
-        self.cells = self.cells.max(4 * n.max(4));
+    /// Give every ring at least one cell and clamp the inline cutoff to
+    /// what a slot holds.
+    fn clamped(mut self) -> Self {
+        self.cells = self.cells.max(1);
         self.inline_max = self.inline_max.min(INLINE_MAX);
         self
     }
@@ -119,23 +124,13 @@ struct RndvWord {
 }
 
 /// The owned form of a *parked* message — one taken off its lane before
-/// a receive wanted it: the header plus a copy of the inline bytes. A
-/// matched message never becomes one; it is delivered from its slot.
+/// a receive wanted it: the header plus a copy of its payload, so a
+/// parked message holds no lane slot and no ring bytes. A matched
+/// message never becomes one; it is delivered from its slot or ring.
 struct Packet {
     hdr: Header,
-    data: [u8; INLINE_MAX],
-}
-
-impl Packet {
-    fn park(hdr: &Header, inline: &[u8]) -> Self {
-        let mut data = [0u8; INLINE_MAX];
-        data[..inline.len()].copy_from_slice(inline);
-        Self { hdr: *hdr, data }
-    }
-
-    fn inline(&self) -> &[u8] {
-        self.hdr.inline(&self.data)
-    }
+    /// The payload, in a buffer from [`UnexpectedSet::spare`].
+    data: Vec<u8>,
 }
 
 fn tag_matches(want: Option<i32>, tag: i32) -> bool {
@@ -146,12 +141,22 @@ fn tag_matches(want: Option<i32>, tag: i32) -> bool {
 /// engine's source-sharded posted set: a concrete-source receive scans
 /// only its sender's backlog, so buffering traffic from many peers does
 /// not make every later receive pay an O(all-buffered) scan. The buckets
-/// are indexed by rank and keep their buffers, so parking and re-taking
-/// in steady state allocates nothing. Lanes order messages per pair
-/// only (all MPI asks for); the sequence number orders *parked* packets
-/// across sources, so a wildcard receive takes the one parked first.
+/// are indexed by rank and keep their buffers, and payload buffers come
+/// back to `spare` when their packet is delivered, so parking and
+/// re-taking in steady state allocates nothing. Lanes order messages per
+/// pair only (all MPI asks for); the sequence number orders *parked*
+/// packets across sources, so a wildcard receive takes the one parked
+/// first.
 struct UnexpectedSet {
     by_src: Vec<VecDeque<(u64, Packet)>>,
+    /// Packets parked in all buckets. A receive with nothing parked
+    /// stops at this count and never reads the bucket array: that array
+    /// is a small heap block, and when the allocator put it beside a
+    /// buffer the sending rank writes per message, every receive missed
+    /// on it — a per-run slow mode of about a fifth on `rt_pingpong_64B`.
+    parked: usize,
+    /// Payload buffers of delivered packets, kept for the next park.
+    spare: Vec<Vec<u8>>,
     next_seq: u64,
 }
 
@@ -159,18 +164,33 @@ impl UnexpectedSet {
     fn new(n: usize) -> Self {
         Self {
             by_src: (0..n).map(|_| VecDeque::new()).collect(),
+            parked: 0,
+            spare: Vec::new(),
             next_seq: 0,
         }
     }
 
-    fn push(&mut self, src: usize, pkt: Packet) {
+    /// Park a message taken off the lane from `src`, copying its payload
+    /// out. Cold and out of line: the matched path never parks, and
+    /// keeping the copy out of `poll`'s closure keeps that path short.
+    #[cold]
+    #[inline(never)]
+    fn park(&mut self, src: usize, hdr: &Header, payload: &[u8]) {
+        let mut data = self.spare.pop().unwrap_or_default();
+        data.clear();
+        data.extend_from_slice(payload);
+        let pkt = Packet { hdr: *hdr, data };
         self.by_src[src].push_back((self.next_seq, pkt));
         self.next_seq += 1;
+        self.parked += 1;
     }
 
     /// Take the oldest parked packet matching `(src, tag)`, if any, with
     /// its source rank.
     fn take(&mut self, src: Option<usize>, tag: Option<i32>) -> Option<(usize, Packet)> {
+        if self.parked == 0 {
+            return None;
+        }
         // (sequence number, position) of a bucket's oldest tag-match.
         let oldest = |q: &VecDeque<(u64, Packet)>| {
             let i = q.iter().position(|(_, p)| tag_matches(tag, p.hdr.tag))?;
@@ -184,12 +204,15 @@ impl UnexpectedSet {
                 .filter_map(|(s, q)| oldest(q).map(|(seq, i)| (seq, s, i)))
                 .min()?,
         };
+        self.parked -= 1;
         self.by_src[s].remove(i).map(|(_, p)| (s, p))
     }
 }
 
+/// What every rank reads on every message, on lines of its own: no heap
+/// neighbour's writes invalidate it.
+#[repr(align(64))]
 struct Shared {
-    cells: CellPool,
     /// The selected large-message backend; all transfer bytes flow
     /// through this trait object.
     backend: Box<dyn RtLmtBackend>,
@@ -233,15 +256,14 @@ impl RtComm {
         self.shared.cfg.tuner.as_ref()
     }
 
-    /// Free cells in the shared eager pool. Exact only while the other
-    /// ranks are quiesced — use for leak checks at known sync points.
-    pub fn free_cells(&self) -> usize {
-        self.shared.cells.free_count()
-    }
-
-    /// Total cells in the shared eager pool.
-    pub fn total_cells(&self) -> usize {
-        self.shared.cfg.cells
+    /// Eager payload bytes claimed in the byte rings of this rank's
+    /// lanes, both directions, and not yet released: 0 once every ring
+    /// is released. Exact only while the peers are quiesced — use for
+    /// leak checks at known sync points.
+    pub fn eager_bytes_in_flight(&self) -> usize {
+        let sent: usize = self.tx.iter().map(LaneTx::eager_bytes_in_flight).sum();
+        let received: usize = self.rx.iter().map(LaneRx::eager_bytes_in_flight).sum();
+        sent + received
     }
 
     /// How collectives pick their algorithm arm.
@@ -254,10 +276,10 @@ impl RtComm {
     }
 
     /// Publish one message on the lane to `dst`, backing off while that
-    /// lane is full.
-    fn push(&self, dst: usize, hdr: Header, inline: &[u8]) {
+    /// lane is full or, for an eager payload, its ring lacks room.
+    fn push(&self, dst: usize, hdr: Header, payload: &[u8]) {
         let mut bo = self.backoff();
-        while !self.tx[dst].try_push(hdr, inline) {
+        while !self.tx[dst].try_push(hdr, payload) {
             bo.snooze();
         }
     }
@@ -275,25 +297,14 @@ impl RtComm {
         };
         if len <= self.shared.cfg.inline_max {
             // Fused path: pack header + payload straight into the lane
-            // slot — no pool acquire, no second staging copy.
+            // slot — no ring bytes, no second staging copy.
             return self.push(dst, hdr(Kind::Inline, 0, 0), data);
         }
         // The eager cutoff is bounded by the configured cell size: a
-        // payload that does not fit one pooled cell must go rendezvous,
-        // whatever EAGER_MAX says.
-        if len <= EAGER_MAX.min(self.shared.cells.cell_size()) {
-            // Eager: copy into a pooled cell (first copy).
-            let mut bo = self.backoff();
-            let cell = loop {
-                if let Some(c) = self.shared.cells.try_acquire() {
-                    break c;
-                }
-                bo.snooze();
-            };
-            self.shared
-                .cells
-                .with_cell(cell, |d| d[..len].copy_from_slice(data));
-            return self.push(dst, hdr(Kind::Eager, cell, 0), &[]);
+        // larger payload goes rendezvous, whatever EAGER_MAX says.
+        if len <= EAGER_MAX.min(self.shared.cfg.cell_size) {
+            // Eager: copy into the pair's byte ring (first copy).
+            return self.push(dst, hdr(Kind::Eager, 0, 0), data);
         }
         // Rendezvous: announce, let the backend move the payload, then
         // hold the buffer until the receiver confirms completion.
@@ -416,24 +427,19 @@ impl RtComm {
         dst: &mut [u8],
     ) -> Option<usize> {
         let (s, p) = self.unexpected.take(src, tag)?;
-        Some(Self::deliver(
-            &self.shared,
-            self.rank,
-            s,
-            &p.hdr,
-            p.inline(),
-            dst,
-        ))
+        let len = Self::deliver(&self.shared, self.rank, s, &p.hdr, &p.data, dst);
+        self.unexpected.spare.push(p.data);
+        Some(len)
     }
 
     /// One pass over the incoming lanes — the wanted source first, for a
-    /// wildcard the one after the source last served — taking at most
-    /// `recv_batch` slots from each. The first match is delivered
-    /// straight from its slot (the ping-pong hot path never builds a
-    /// [`Packet`]); everything else parks. Every lane is drained on every pass, whatever the
-    /// receive wants, so a sender to this rank is never held up by a
-    /// receive posted for someone else. Returns the delivered length, if
-    /// any, and whether any slot was taken.
+    /// wildcard the one after the source last served — that stops at the
+    /// first match and delivers it straight from its slot or ring (the
+    /// hot path never builds a [`Packet`]). Whatever it takes before the
+    /// match parks. A pass that finds no match takes up to `recv_batch`
+    /// slots from every lane, so a sender to this rank is never held up
+    /// by a receive posted for someone else. Returns the delivered
+    /// length, if any, and whether any slot was taken.
     fn poll(
         &mut self,
         src: Option<usize>,
@@ -444,54 +450,49 @@ impl RtComm {
         let batch = self.shared.cfg.recv_batch.max(1);
         let start = src.unwrap_or(self.rotor);
         let (shared, rank, unexpected) = (&*self.shared, self.rank, &mut self.unexpected);
-        let (mut got, mut took) = (None, false);
+        let mut took = false;
         for s in (start..n).chain(0..start).filter(|&s| s != rank) {
             let wanted = src.is_none_or(|x| x == s);
             for _ in 0..batch {
-                let taken = self.rx[s].take(|hdr, inline| {
-                    if got.is_none() && wanted && tag_matches(tag, hdr.tag) {
-                        got = Some(Self::deliver(shared, rank, s, hdr, inline, dst));
+                let taken = self.rx[s].take(|hdr, payload| {
+                    if wanted && tag_matches(tag, hdr.tag) {
+                        return Some(Self::deliver(shared, rank, s, hdr, payload, dst));
+                    }
+                    unexpected.park(s, hdr, payload);
+                    None
+                });
+                match taken {
+                    None => break,
+                    Some(None) => took = true,
+                    Some(Some(len)) => {
                         if src.is_none() {
                             self.rotor = if s + 1 < n { s + 1 } else { 0 };
                         }
-                    } else {
-                        unexpected.push(s, Packet::park(hdr, inline));
+                        return (Some(len), true);
                     }
-                });
-                if taken.is_none() {
-                    break;
                 }
-                took = true;
             }
         }
-        (got, took)
+        (None, took)
     }
 
-    /// Move one matched message's payload into `dst` — from its lane
-    /// slot or from a parked [`Packet`], `inline` being the payload
-    /// bytes of an inline message either way.
+    /// Move one matched message's payload into `dst` — `payload` being
+    /// its bytes in the lane slot, the ring or a parked [`Packet`].
     fn deliver(
         shared: &Shared,
         rank: usize,
         src_rank: usize,
         hdr: &Header,
-        inline: &[u8],
+        payload: &[u8],
         dst: &mut [u8],
     ) -> usize {
         let len = hdr.len;
         assert!(len <= dst.len(), "receive buffer too small");
         let dst = &mut dst[..len];
         match hdr.kind {
-            // The one and only copy out of the lane slot.
-            Kind::Inline => dst.copy_from_slice(inline),
-            Kind::Eager => {
-                // Second copy: cell → user buffer; then recycle the cell.
-                let cell = hdr.word;
-                shared
-                    .cells
-                    .with_cell(cell, |d| dst.copy_from_slice(&d[..len]));
-                shared.cells.release(cell);
-            }
+            // The one copy out of the slot; an eager payload's second,
+            // out of the ring.
+            Kind::Inline | Kind::Eager => dst.copy_from_slice(payload),
             Kind::Rndv => {
                 // SAFETY: `word` is the address of the sender's `len`
                 // bytes, which it keeps alive and unmodified (it blocks
@@ -608,20 +609,25 @@ where
     F: Fn(&mut RtComm) + Send + Sync,
 {
     assert!(n >= 1);
-    let cfg = cfg.for_ranks(n);
+    let cfg = cfg.clamped();
     // One lane per ordered pair: `txs[src][dst]` feeds `rxs[dst][src]`.
-    // The diagonal exists for plain indexing and is never used: one slot.
+    // The diagonal exists for plain indexing and is never used: one
+    // slot, no ring.
+    let ring_bytes = cfg.cells * cfg.cell_size;
     let mut txs: Vec<Vec<LaneTx>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
     let mut rxs: Vec<Vec<LaneRx>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
     for (src, tx_row) in txs.iter_mut().enumerate() {
         for (dst, rx_row) in rxs.iter_mut().enumerate() {
-            let (tx, rx) = lane(if src == dst { 1 } else { cfg.queue_capacity });
+            let (tx, rx) = if src == dst {
+                lane(1, 0)
+            } else {
+                lane(cfg.queue_capacity, ring_bytes)
+            };
             tx_row.push(tx);
             rx_row.push(rx);
         }
     }
     let shared = Arc::new(Shared {
-        cells: CellPool::new(cfg.cells, cfg.cell_size),
         backend,
         rndv: (0..n).map(|_| RndvWord::default()).collect(),
         cfg,
@@ -959,6 +965,91 @@ mod tests {
                     }
                     comm.send(1, 3, &[1]);
                 }
+            }
+        });
+    }
+
+    #[test]
+    fn one_peers_parked_backlog_starves_no_other_eager_sender() {
+        // Rank 0 blocks on rank 2 while rank 1's eager messages pile up
+        // parked. With one eager pool shared by every rank they held all
+        // of it and rank 2's eager send spun forever; each pair's own
+        // ring leaves rank 2 untouched.
+        const X: i32 = 1;
+        const Y: i32 = 2;
+        const GO: i32 = 3;
+        const LEN: usize = 4 << 10;
+        let cells = RtConfig::default().cells;
+        let body = |i: usize| -> Vec<u8> { (0..LEN).map(|j| (i * 7 + j) as u8).collect() };
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            run_rt(3, RtLmt::Direct, |comm| {
+                let mut buf = vec![0u8; LEN];
+                match comm.rank() {
+                    0 => {
+                        assert_eq!(comm.recv(Some(2), Some(Y), &mut buf), LEN);
+                        assert!(buf == body(cells), "Y corrupt");
+                        for i in 0..cells {
+                            assert_eq!(comm.recv(Some(1), Some(X), &mut buf), LEN);
+                            assert!(buf == body(i), "X {i} corrupt");
+                        }
+                    }
+                    1 => {
+                        for i in 0..cells {
+                            comm.send(0, X, &body(i));
+                        }
+                        comm.send(2, GO, &[1]);
+                    }
+                    _ => {
+                        comm.recv(Some(1), Some(GO), &mut buf);
+                        comm.send(0, Y, &body(cells));
+                    }
+                }
+            });
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(()) => runner.join().unwrap(),
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("rank 2's eager send starved behind rank 1's parked backlog at rank 0")
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(runner.join().unwrap_err())
+            }
+        }
+    }
+
+    #[test]
+    fn parked_eager_payloads_survive_their_ring_bytes_being_reused() {
+        // A 16 KiB ring and 48 KiB of tag-A payloads ahead of tag B: the
+        // sender only gets past the first ring's worth because parking
+        // copies each payload out and releases its bytes, which later A
+        // payloads then overwrite.
+        const A: i32 = 1;
+        const B: i32 = 2;
+        let cfg = RtConfig {
+            cells: 2,
+            cell_size: 8 << 10,
+            ..RtConfig::default()
+        };
+        let sizes: Vec<usize> = (0..12).map(|i| 257 + i * 700).collect();
+        let body = |i: usize| -> Vec<u8> { (0..sizes[i]).map(|j| (i * 31 + j) as u8).collect() };
+        assert!(sizes.iter().sum::<usize>() > 3 * cfg.cells * cfg.cell_size);
+        run_rt_cfg(2, RtLmt::Direct, cfg, |comm| {
+            if comm.rank() == 0 {
+                for i in 0..sizes.len() {
+                    comm.send(1, A, &body(i));
+                }
+                comm.send(1, B, &[0xB; 300]);
+            } else {
+                let mut buf = vec![0u8; 8 << 10];
+                assert_eq!(comm.recv(Some(0), Some(B), &mut buf), 300);
+                assert!(buf[..300].iter().all(|&b| b == 0xB));
+                for i in 0..sizes.len() {
+                    let len = comm.recv(Some(0), Some(A), &mut buf);
+                    assert!(buf[..len] == body(i), "parked A {i} corrupt");
+                }
+                assert_eq!(comm.eager_bytes_in_flight(), 0);
             }
         });
     }

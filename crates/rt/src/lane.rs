@@ -14,17 +14,31 @@
 //! area are ever written or read: a 64-byte payload moves two cache
 //! lines, not the whole slot.
 //!
-//! The slots come from `alloc_zeroed`, so a slot becomes resident only
-//! once its pair has cycled through it.
+//! Beside its slots a lane owns a **byte ring** for the payloads of
+//! [`Kind::Eager`] messages. The producer claims each payload's length,
+//! rounded up to a cache line, at the ring's tail — skipping to offset 0
+//! when the tail cannot hold it — and the header names the payload's
+//! offset and the ring position that frees it. The consumer takes
+//! messages in lane order, so ring bytes are released in order: a
+//! release is one Release store of a consumer-owned position on a line
+//! of its own, which the producer re-reads only when the room it saw
+//! last runs out. No per-payload flag, no CAS.
+//!
+//! Slots and ring are zeroed memory that becomes resident only where a
+//! pair writes it (see `Lines`).
 
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::cell::{Cell, UnsafeCell};
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Payload bytes a slot can carry inline.
 pub const INLINE_MAX: usize = 256;
+
+/// Cache-line size: the slot alignment and the byte ring's granule, so
+/// no two payloads share a line.
+const LINE: usize = 64;
 
 /// What a slot's [`Header`] describes.
 #[repr(u32)]
@@ -32,7 +46,9 @@ pub const INLINE_MAX: usize = 256;
 pub enum Kind {
     /// The payload is the slot's own inline area (`len` bytes of it).
     Inline = 0,
-    /// `word` is a pooled-cell index holding `len` payload bytes.
+    /// The payload is `len` bytes at offset `word` of the lane's byte
+    /// ring; `seq` is the ring position taking it releases up to. The
+    /// lane fills both in at the push.
     Eager,
     /// `word` is the sender's buffer address (`len` bytes); `seq` is
     /// what completes the rendezvous.
@@ -49,18 +65,6 @@ pub struct Header {
     pub seq: usize,
 }
 
-impl Header {
-    /// The payload bytes of the message within its inline `area`: `len`
-    /// of them for [`Kind::Inline`], none for the other kinds.
-    #[inline]
-    pub fn inline<'a>(&self, area: &'a [u8; INLINE_MAX]) -> &'a [u8] {
-        match self.kind {
-            Kind::Inline => &area[..self.len],
-            _ => &[],
-        }
-    }
-}
-
 #[repr(C, align(64))]
 struct Slot {
     /// 0 = the producer's to fill, 1 = the consumer's to read.
@@ -69,30 +73,79 @@ struct Slot {
     data: UnsafeCell<[u8; INLINE_MAX]>,
 }
 
-struct Ring {
-    slots: NonNull<Slot>,
-    cap: usize,
+/// Zeroed memory starting on a cache line. It is allocated at alignment
+/// 1 with a line of slack: at alignment ≤ 16 std's `alloc_zeroed` is
+/// `calloc`, which maps large requests as fresh zero pages, where at
+/// alignment 64 it zeroes every byte by hand — so here memory nobody
+/// writes costs address space, not resident pages.
+struct Lines {
+    alloc: NonNull<u8>,
+    start: NonNull<u8>,
+    len: usize,
 }
 
-// SAFETY: the ring is plain memory reached only through `LaneTx` and
-// `LaneRx`, one of each; a slot's `hdr`/`data` are touched only by the
-// side its `full` flag names, under that flag's Release/Acquire edge.
-unsafe impl Send for Ring {}
-unsafe impl Sync for Ring {}
-
-impl Ring {
-    fn layout(cap: usize) -> Layout {
-        Layout::array::<Slot>(cap).expect("lane layout")
+impl Lines {
+    fn layout(len: usize) -> Layout {
+        Layout::from_size_align(len + LINE, 1).expect("lane layout")
     }
 
+    fn new(len: usize) -> Self {
+        let layout = Self::layout(len);
+        // SAFETY: the layout has nonzero size.
+        let alloc = NonNull::new(unsafe { alloc_zeroed(layout) })
+            .unwrap_or_else(|| handle_alloc_error(layout));
+        let skip = alloc.as_ptr().align_offset(LINE);
+        assert!(skip < LINE);
+        // SAFETY: `skip < LINE` keeps `start` inside the allocation, with
+        // `len` bytes after it.
+        let start = unsafe { alloc.add(skip) };
+        Self { alloc, start, len }
+    }
+}
+
+impl Drop for Lines {
+    fn drop(&mut self) {
+        // SAFETY: allocated in `new` with exactly this layout.
+        unsafe { dealloc(self.alloc.as_ptr(), Self::layout(self.len)) }
+    }
+}
+
+/// One atomic on a cache line of its own.
+#[repr(align(64))]
+struct Own(AtomicUsize);
+
+struct Shared {
+    /// `cap` slots.
+    slots: Lines,
+    cap: usize,
+    /// The eager byte ring; its `len` is a multiple of [`LINE`].
+    ring: Lines,
+    /// Ring position the consumer has released up to: its Release store
+    /// hands the bytes below back to the producer's Acquire load.
+    released: Own,
+    /// Ring position the producer has claimed up to. Only the producer
+    /// writes it and it publishes nothing (the slot flags do), so the
+    /// producer's own accesses are Relaxed.
+    claimed: Own,
+}
+
+// SAFETY: the lane is plain memory reached only through `LaneTx` and
+// `LaneRx`, one of each; a slot's `hdr`/`data` and the ring bytes a
+// header names are touched only by the side the slot's `full` flag
+// names, under that flag's Release/Acquire edge, and ring bytes return
+// to the producer only through `released`'s Release/Acquire edge.
+unsafe impl Send for Shared {}
+unsafe impl Sync for Shared {}
+
+impl Shared {
     #[inline]
     fn slot(&self, i: usize) -> &Slot {
         debug_assert!(i < self.cap);
-        // SAFETY: `i < cap` slots were allocated zeroed, and all-zero
-        // bytes are a valid `Slot` (flag 0, `Kind::Inline`, integers);
-        // everything behind the reference that either side writes is an
-        // atomic or inside an `UnsafeCell`.
-        unsafe { &*self.slots.as_ptr().add(i) }
+        // SAFETY: `i < cap` slots were allocated zeroed and line-aligned,
+        // and all-zero bytes are a valid `Slot` (flag 0, `Kind::Inline`,
+        // integers); everything behind the reference that either side
+        // writes is an atomic or inside an `UnsafeCell`.
+        unsafe { &*self.slots.start.cast::<Slot>().as_ptr().add(i) }
     }
 
     #[inline]
@@ -103,91 +156,176 @@ impl Ring {
             i + 1
         }
     }
-}
 
-impl Drop for Ring {
-    fn drop(&mut self) {
-        // SAFETY: allocated in `lane` with exactly this layout; slots
-        // hold nothing that needs dropping.
-        unsafe { dealloc(self.slots.as_ptr().cast(), Self::layout(self.cap)) }
+    fn eager_bytes_in_flight(&self) -> usize {
+        // `released` first: whatever it reads, `claimed` was already at
+        // least that far.
+        let released = self.released.0.load(Ordering::Acquire);
+        self.claimed.0.load(Ordering::Acquire) - released
     }
 }
 
 /// The producing end. `!Sync`: the tail cursor is a `Cell`, so two
-/// threads pushing through one handle is a compile error.
+/// threads pushing through one handle is a compile error. Each end has
+/// a cache line of its own: `comm` keeps a rank's ends side by side in
+/// one `Vec`, and unpadded, one rank's per-message cursor writes landed
+/// on the line holding another rank's cursor.
+#[repr(align(64))]
 pub struct LaneTx {
-    ring: Arc<Ring>,
+    lane: Arc<Shared>,
     tail: Cell<usize>,
+    /// `released` plus the ring size, as of the last look at `released`:
+    /// a claim ending at or before it fits without looking again.
+    credit: Cell<usize>,
 }
 
-/// The consuming end.
+/// The consuming end, on a cache line of its own like [`LaneTx`].
+#[repr(align(64))]
 pub struct LaneRx {
-    ring: Arc<Ring>,
+    lane: Arc<Shared>,
     head: usize,
 }
 
-/// A lane of `capacity` slots, every one of them usable.
-pub fn lane(capacity: usize) -> (LaneTx, LaneRx) {
+/// A lane of `capacity` slots, every one of them usable, with a byte
+/// ring of `ring_bytes` (rounded up to a cache line) for eager payloads.
+pub fn lane(capacity: usize, ring_bytes: usize) -> (LaneTx, LaneRx) {
     assert!(capacity >= 1, "lane needs at least one slot");
-    let layout = Ring::layout(capacity);
-    // SAFETY: the layout has nonzero size (`capacity >= 1`).
-    let slots = NonNull::new(unsafe { alloc_zeroed(layout) }.cast::<Slot>())
-        .unwrap_or_else(|| handle_alloc_error(layout));
-    let ring = Arc::new(Ring {
-        slots,
+    let slots = Layout::array::<Slot>(capacity).expect("lane layout");
+    let lane = Arc::new(Shared {
+        slots: Lines::new(slots.size()),
         cap: capacity,
+        ring: Lines::new(ring_bytes.next_multiple_of(LINE)),
+        released: Own(AtomicUsize::new(0)),
+        claimed: Own(AtomicUsize::new(0)),
     });
     let tx = LaneTx {
-        ring: Arc::clone(&ring),
+        credit: Cell::new(lane.ring.len),
+        lane: Arc::clone(&lane),
         tail: Cell::new(0),
     };
-    (tx, LaneRx { ring, head: 0 })
+    (tx, LaneRx { lane, head: 0 })
 }
 
 impl LaneTx {
-    /// Publish `hdr` with `inline` copied into the slot's inline area;
-    /// `false` when the lane is full. An inline message passes its
-    /// payload and `hdr.len == inline.len()`, the other kinds pass `&[]`.
+    /// Publish `hdr` with its payload; `false` when the lane is full or,
+    /// for [`Kind::Eager`], its ring lacks room. An inline message's
+    /// payload lands in the slot, an eager one's in the ring; a
+    /// rendezvous passes `&[]`. `hdr.len == payload.len()` for the
+    /// first two.
     #[inline]
-    pub fn try_push(&self, hdr: Header, inline: &[u8]) -> bool {
-        assert!(inline.len() <= INLINE_MAX, "inline payload too large");
-        debug_assert!(hdr.kind != Kind::Inline || hdr.len == inline.len());
+    pub fn try_push(&self, mut hdr: Header, payload: &[u8]) -> bool {
+        debug_assert!(hdr.kind == Kind::Rndv || hdr.len == payload.len());
         let tail = self.tail.get();
-        let slot = self.ring.slot(tail);
+        let slot = self.lane.slot(tail);
         if slot.full.load(Ordering::Acquire) != 0 {
             return false;
         }
+        let dst: *mut u8 = if hdr.kind == Kind::Eager {
+            let Some((off, end)) = self.claim(payload.len()) else {
+                return false;
+            };
+            (hdr.word, hdr.seq) = (off, end);
+            // SAFETY: `claim` keeps `off + len` within the ring.
+            unsafe { self.lane.ring.start.as_ptr().add(off) }
+        } else {
+            assert!(payload.len() <= INLINE_MAX, "inline payload too large");
+            slot.data.get().cast()
+        };
         // SAFETY: `full == 0` read with Acquire: the consumer is done
         // with this slot and will not look inside again before the
-        // Release store below; we are the only producer.
+        // Release store below. `dst` is this slot's inline area or ring
+        // bytes `claim` found released, which the consumer will not read
+        // before that store either. We are the only producer.
         unsafe {
             *slot.hdr.get() = hdr;
-            std::ptr::copy_nonoverlapping(inline.as_ptr(), slot.data.get().cast(), inline.len());
+            std::ptr::copy_nonoverlapping(payload.as_ptr(), dst, payload.len());
         }
         slot.full.store(1, Ordering::Release);
-        self.tail.set(self.ring.next(tail));
+        self.tail.set(self.lane.next(tail));
         true
+    }
+
+    /// Claim ring room for a `len`-byte eager payload: its offset and the
+    /// ring position that releases it, or `None` while the consumer
+    /// still holds bytes the payload would overwrite. Out of line: inlined,
+    /// it made `try_push` too big to inline into `comm`'s send paths, and
+    /// every inline message paid a call.
+    #[inline(never)]
+    fn claim(&self, len: usize) -> Option<(usize, usize)> {
+        let cap = self.lane.ring.len;
+        let need = len.next_multiple_of(LINE);
+        assert!(
+            0 < cap && need <= cap,
+            "a {len}-byte eager payload does not fit a {cap}-byte ring"
+        );
+        let pos = self.lane.claimed.0.load(Ordering::Relaxed);
+        let off = pos % cap;
+        // A payload never wraps: a tail too short for it is skipped.
+        let (start, end) = if off + need <= cap {
+            (off, pos + need)
+        } else {
+            (0, pos + (cap - off) + need)
+        };
+        if end > self.credit.get() {
+            let released = self.lane.released.0.load(Ordering::Acquire);
+            self.credit.set(released + cap);
+            // Positions `[released, end)` must fit the ring, unless it is
+            // empty: then the skip holds nothing anyone still reads.
+            if end > released + cap && released != pos {
+                return None;
+            }
+        }
+        self.lane.claimed.0.store(end, Ordering::Relaxed);
+        Some((start, end))
+    }
+
+    /// Eager bytes claimed in this lane's ring and not yet released
+    /// (exact while the consumer is quiesced).
+    pub(crate) fn eager_bytes_in_flight(&self) -> usize {
+        self.lane.eager_bytes_in_flight()
     }
 }
 
 impl LaneRx {
     /// Hand the oldest published message to `f` in place — its header
-    /// and, for [`Kind::Inline`], its `len` payload bytes (empty for the
-    /// other kinds) — then free the slot. `None` when the lane is empty.
+    /// and its payload: the slot's inline bytes, the ring bytes of an
+    /// eager message, nothing for a rendezvous — then free the slot and
+    /// any ring bytes. `None` when the lane is empty.
     #[inline]
     pub fn take<R>(&mut self, f: impl FnOnce(&Header, &[u8]) -> R) -> Option<R> {
-        let slot = self.ring.slot(self.head);
+        let slot = self.lane.slot(self.head);
         if slot.full.load(Ordering::Acquire) == 0 {
             return None;
         }
         // SAFETY: `full == 1` read with Acquire: the producer's writes
-        // to this slot happened before, and it will not write here again
-        // until the Release store below; we are the only consumer.
-        let (hdr, data) = unsafe { (&*slot.hdr.get(), &*slot.data.get()) };
-        let r = f(hdr, hdr.inline(data));
+        // to this slot and to the ring bytes its header names happened
+        // before, and it writes neither again until the Release stores
+        // below; the push bounded `len` by the inline area or kept
+        // `[word, word + len)` inside the ring. We are the only consumer.
+        let (hdr, payload) = unsafe {
+            let hdr = &*slot.hdr.get();
+            let payload: &[u8] = match hdr.kind {
+                Kind::Inline => &(&*slot.data.get())[..hdr.len],
+                Kind::Eager => {
+                    std::slice::from_raw_parts(self.lane.ring.start.as_ptr().add(hdr.word), hdr.len)
+                }
+                Kind::Rndv => &[],
+            };
+            (hdr, payload)
+        };
+        let r = f(hdr, payload);
+        if hdr.kind == Kind::Eager {
+            self.lane.released.0.store(hdr.seq, Ordering::Release);
+        }
         slot.full.store(0, Ordering::Release);
-        self.head = self.ring.next(self.head);
+        self.head = self.lane.next(self.head);
         Some(r)
+    }
+
+    /// Eager bytes claimed in this lane's ring and not yet released
+    /// (exact while the producer is quiesced).
+    pub(crate) fn eager_bytes_in_flight(&self) -> usize {
+        self.lane.eager_bytes_in_flight()
     }
 }
 
@@ -205,6 +343,26 @@ mod tests {
         }
     }
 
+    fn eager_hdr(tag: i32, len: usize) -> Header {
+        Header {
+            kind: Kind::Eager,
+            ..inline_hdr(tag, len)
+        }
+    }
+
+    /// Payload `i` of `len` bytes: a window into one fixed pattern, so a
+    /// check is one slice compare.
+    fn body(table: &[u8], i: usize, len: usize) -> &[u8] {
+        let at = i % 251;
+        &table[at..at + len]
+    }
+
+    fn table() -> Vec<u8> {
+        (0..(16 << 10) + 256)
+            .map(|j| (j * 131 + j / 251) as u8)
+            .collect()
+    }
+
     #[test]
     fn slot_is_a_40_byte_header_then_the_inline_area() {
         use std::mem::{align_of, offset_of, size_of};
@@ -215,9 +373,21 @@ mod tests {
     }
 
     #[test]
+    fn each_end_and_each_ring_position_has_a_cache_line_to_itself() {
+        use std::mem::{align_of, size_of};
+        assert_eq!((align_of::<LaneTx>(), size_of::<LaneTx>()), (64, 64));
+        assert_eq!((align_of::<LaneRx>(), size_of::<LaneRx>()), (64, 64));
+        assert_eq!(size_of::<Own>(), 64);
+        let (tx, _rx) = lane(3, 100);
+        assert_eq!(tx.lane.slots.start.as_ptr() as usize % 64, 0);
+        assert_eq!(tx.lane.ring.start.as_ptr() as usize % 64, 0);
+        assert_eq!(tx.lane.ring.len, 128, "rounded up to whole lines");
+    }
+
+    #[test]
     fn fifo_across_wrap_with_full_and_empty_edges() {
         for cap in [1usize, 2, 3, 512] {
-            let (tx, mut rx) = lane(cap);
+            let (tx, mut rx) = lane(cap, 0);
             assert!(rx.take(|_, _| ()).is_none(), "fresh lane is empty");
             let mut next = 0i32;
             // Three and a bit laps, filling to the brim each time.
@@ -245,7 +415,7 @@ mod tests {
         // One slot, so every message reuses the same inline area: a
         // short payload after a long one must surface exactly its own
         // bytes, never the longer one's tail.
-        let (tx, mut rx) = lane(1);
+        let (tx, mut rx) = lane(1, 0);
         for (round, len) in [256usize, 0, 1, 40, 41, 255, 256, 40]
             .into_iter()
             .enumerate()
@@ -259,7 +429,7 @@ mod tests {
 
     #[test]
     fn non_inline_kinds_carry_header_words_and_no_payload() {
-        let (tx, mut rx) = lane(2);
+        let (tx, mut rx) = lane(2, LINE);
         let hdr = Header {
             kind: Kind::Rndv,
             tag: 7,
@@ -268,24 +438,20 @@ mod tests {
             seq: 42,
         };
         assert!(tx.try_push(hdr, &[]));
-        assert!(tx.try_push(
-            Header {
-                kind: Kind::Eager,
-                word: 3,
-                ..hdr
-            },
-            &[]
-        ));
+        // An empty eager payload claims no ring bytes: offset 0, and
+        // taking it releases up to position 0.
+        assert!(tx.try_push(eager_hdr(7, 0), &[]));
         let got = rx.take(|h, d| (h.kind, h.tag, h.len, h.word, h.seq, d.len()));
         assert_eq!(got, Some((Kind::Rndv, 7, 1 << 20, 0xdead_b000, 42, 0)));
-        let got = rx.take(|h, d| (h.kind, h.word, d.len()));
-        assert_eq!(got, Some((Kind::Eager, 3, 0)));
+        let got = rx.take(|h, d| (h.kind, h.word, h.seq, d.len()));
+        assert_eq!(got, Some((Kind::Eager, 0, 0, 0)));
+        assert_eq!(rx.eager_bytes_in_flight(), 0);
     }
 
     #[test]
     fn two_threads_one_million_messages_in_sequence() {
         const MSGS: usize = 1_000_000;
-        let (tx, mut rx) = lane(64);
+        let (tx, mut rx) = lane(64, 0);
         std::thread::scope(|s| {
             s.spawn(move || {
                 for i in 0..MSGS {
@@ -314,5 +480,153 @@ mod tests {
             }
         });
         assert!(rx.take(|_, _| ()).is_none());
+    }
+
+    #[test]
+    fn eager_fifo_across_ring_wrap_with_mixed_sizes() {
+        // A 64 KiB ring, kept as full as it will go: every refused push
+        // takes one message and retries. 5 000 B after 257 B leaves a
+        // tail too short for 16 KiB, so the skip to offset 0 happens.
+        const RING: usize = 64 << 10;
+        let sizes = [
+            257,
+            4 << 10,
+            16 << 10,
+            5_000,
+            16 << 10,
+            300,
+            16 << 10,
+            12_345,
+        ];
+        let table = table();
+        let (tx, mut rx) = lane(16, RING);
+        let (mut taken, mut end, mut skips, mut laps) = (0usize, 0usize, 0, 0);
+        let mut take_one = |rx: &mut LaneRx| {
+            let i = taken;
+            let len = sizes[i % sizes.len()];
+            let Some((word, seq)) = rx.take(|h, d| {
+                assert_eq!((h.kind, h.tag, h.len), (Kind::Eager, i as i32, len));
+                assert!(d == body(&table, i, len), "message {i}: bytes differ");
+                (h.word, h.seq)
+            }) else {
+                return false;
+            };
+            assert_eq!(word % LINE, 0, "payloads start on a line");
+            assert!(word + len <= RING, "a payload never wraps");
+            skips += usize::from(word == 0 && end % RING != 0);
+            laps += usize::from(word == 0);
+            end = seq;
+            taken += 1;
+            true
+        };
+        for i in 0..400 {
+            let len = sizes[i % sizes.len()];
+            while !tx.try_push(eager_hdr(i as i32, len), body(&table, i, len)) {
+                assert!(take_one(&mut rx), "refused with nothing to take");
+            }
+        }
+        while take_one(&mut rx) {}
+        assert_eq!(taken, 400);
+        assert!(skips > 0 && laps > 10, "{skips} skips over {laps} laps");
+        assert_eq!(tx.eager_bytes_in_flight(), 0, "every byte released");
+    }
+
+    #[test]
+    fn push_is_refused_while_the_ring_lacks_room_and_admitted_after_release() {
+        let (tx, mut rx) = lane(8, 16 << 10);
+        let page = [7u8; 4 << 10];
+        for i in 0..4 {
+            assert!(tx.try_push(eager_hdr(i, page.len()), &page));
+        }
+        // Four free slots, no ring room: refused, and nothing moved.
+        assert!(!tx.try_push(eager_hdr(4, page.len()), &page));
+        assert!(!tx.try_push(eager_hdr(4, page.len()), &page));
+        assert_eq!(tx.eager_bytes_in_flight(), 16 << 10);
+        assert_eq!(rx.take(|h, _| h.tag), Some(0));
+        assert_eq!(tx.eager_bytes_in_flight(), 12 << 10);
+        assert!(tx.try_push(eager_hdr(4, page.len()), &page));
+        for want in 1..=4 {
+            assert_eq!(rx.take(|h, d| (h.tag, d == page)), Some((want, true)));
+        }
+        assert_eq!(rx.eager_bytes_in_flight(), 0);
+    }
+
+    #[test]
+    fn released_bytes_are_reused_without_touching_unreleased_messages() {
+        // 6 KiB payloads in a 16 KiB ring: A at 0, B at 6 KiB. Once A is
+        // released, C does not fit the 4 KiB tail and skips to offset 0 —
+        // A's bytes — while B still sits at 6 KiB unread.
+        let (tx, mut rx) = lane(8, 16 << 10);
+        let [a, b, c] = [[0xAu8; 6 << 10], [0xB; 6 << 10], [0xC; 6 << 10]];
+        assert!(tx.try_push(eager_hdr(0, a.len()), &a));
+        assert!(tx.try_push(eager_hdr(1, b.len()), &b));
+        assert!(!tx.try_push(eager_hdr(2, c.len()), &c), "A still held");
+        assert_eq!(rx.take(|h, d| (h.word, d == a)), Some((0, true)));
+        assert!(tx.try_push(eager_hdr(2, c.len()), &c));
+        assert_eq!(rx.take(|h, d| (h.word, d == b)), Some((6 << 10, true)));
+        assert_eq!(rx.take(|h, d| (h.word, d == c)), Some((0, true)));
+    }
+
+    #[test]
+    fn an_empty_ring_takes_a_payload_the_skip_would_push_past_its_size() {
+        // One 16 KiB cell of ring: after a 4 KiB payload, 16 KiB fits
+        // only at offset 0, and only once the 4 KiB is released.
+        let (tx, mut rx) = lane(4, 16 << 10);
+        let (small, big) = ([1u8; 4 << 10], [2u8; 16 << 10]);
+        assert!(tx.try_push(eager_hdr(0, small.len()), &small));
+        assert!(!tx.try_push(eager_hdr(1, big.len()), &big));
+        assert_eq!(rx.take(|_, d| d == small), Some(true));
+        assert!(tx.try_push(eager_hdr(1, big.len()), &big));
+        assert_eq!(rx.take(|h, d| (h.word, d == big)), Some((0, true)));
+        assert!(tx.try_push(eager_hdr(2, small.len()), &small));
+        assert_eq!(rx.take(|_, d| d == small), Some(true));
+    }
+
+    #[test]
+    fn two_threads_one_million_eager_messages_with_seeded_sizes() {
+        // The full million under `--release`; a debug build checks a
+        // slice of it in the same shape.
+        const MSGS: usize = if cfg!(debug_assertions) {
+            20_000
+        } else {
+            1_000_000
+        };
+        fn sizes() -> impl Iterator<Item = usize> {
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            std::iter::repeat_with(move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                257 + (x % ((16 << 10) - 256)) as usize
+            })
+        }
+        let table = table();
+        let (tx, mut rx) = lane(64, 16 * (16 << 10));
+        std::thread::scope(|s| {
+            let table = &table;
+            s.spawn(move || {
+                for (i, len) in sizes().take(MSGS).enumerate() {
+                    let mut bo = crate::Backoff::new();
+                    while !tx.try_push(eager_hdr(i as i32, len), body(table, i, len)) {
+                        bo.snooze();
+                    }
+                }
+            });
+            for (i, len) in sizes().take(MSGS).enumerate() {
+                let mut bo = crate::Backoff::new();
+                loop {
+                    let ok = rx.take(|h, d| {
+                        assert_eq!((h.tag, h.len), (i as i32, len));
+                        assert!(d == body(table, i, len), "message {i}: bytes differ");
+                    });
+                    if ok.is_some() {
+                        break;
+                    }
+                    bo.snooze();
+                }
+            }
+        });
+        assert!(rx.take(|_, _| ()).is_none());
+        assert_eq!(rx.eager_bytes_in_flight(), 0);
     }
 }

@@ -12,9 +12,13 @@
 //!   here it carries the offload engine's descriptors.
 //! * [`lane`] — the bounded SPSC ring, one per ordered rank pair, that
 //!   [`comm`] hands every message over: plain stores and one Release
-//!   flag per side, no locked instruction (the Nemesis "fastbox" role).
+//!   flag per side, no locked instruction (the Nemesis "fastbox" role),
+//!   plus the pair's byte ring for eager payloads, released in order by
+//!   one consumer-owned position.
 //! * [`cellpool`] — a Treiber-stack free list of fixed-size message
-//!   cells with packed ABA generation tags.
+//!   cells with packed ABA generation tags. Off the comm path: its
+//!   `FreeStack` recycles [`queue`]'s cells, and `CellPool` is kept for
+//!   the benchmark's `rt.cellpool.*` probes and the `rt_queue` bench.
 //! * [`copy`] — the three intranode copy strategies as real-memory
 //!   engines: double-buffered two-copy pipelining (the default LMT),
 //!   direct single-copy (what KNEM achieves via the kernel; trivial
@@ -30,10 +34,10 @@
 //!   chunk sweet spots from observed per-chunk times, the backend and
 //!   collective bandits) plus the host-only NT-store crossover.
 //! * [`comm`] — a miniature message-passing runtime tying the pieces
-//!   together: rank-threads joined by per-pair lanes, eager cells, and a
-//!   selectable large-message strategy (double-buffer / direct /
-//!   offload), mirroring the simulated `nemesis-core` protocol on real
-//!   hardware.
+//!   together: rank-threads joined by per-pair lanes and their eager
+//!   byte rings, and a selectable large-message strategy (double-buffer
+//!   / direct / offload), mirroring the simulated `nemesis-core`
+//!   protocol on real hardware.
 //! * [`coll`] — collectives (barrier, bcast, reduce, allreduce, gather,
 //!   scatter, allgather, alltoall) over [`comm`], so the paper's §4.4
 //!   patterns also run on real threads. Every collective runs over an

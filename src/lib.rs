@@ -21,7 +21,7 @@
 //!   [`core::LmtSelect::Dynamic`] selector, noncontiguous transfers, and
 //!   MPI-like point-to-point + collective operations.
 //! * [`rt`] — the same data structures on real threads and atomics
-//!   (lock-free MPSC queue, per-pair SPSC lanes, cell pool, copy
+//!   (lock-free MPSC queue, per-pair SPSC lanes and eager byte rings, copy
 //!   engines behind the mirror `RtLmtBackend` trait, a mini runtime
 //!   with collectives), benchmarked with Criterion.
 //! * [`model`] — the clock-free online models (EWMA cell, bandit, chunk
@@ -77,7 +77,10 @@ pub fn rt_lmt_for(cfg: &core::NemesisConfig) -> rt::RtLmt {
 /// Bridge the simulated stack's configuration into the real-thread
 /// runtime: the two stacks deliberately do not depend on each other, so
 /// the shared knobs (cell sizing, backoff spin cap, chunk schedule)
-/// cross here. Fields without a core-side counterpart keep their rt
+/// cross here. The cell sizing means something different on each side:
+/// `cells_per_proc` cells of `cell_payload` bytes are one process's
+/// eager pool in the simulation and one ordered pair's eager byte ring
+/// in rt. Fields without a core-side counterpart keep their rt
 /// defaults. A `Learned` chunk schedule makes `rt::run_rt_cfg` create
 /// an `RtTuner` so the double-buffer ring learns its per-pair sweet
 /// spot from observed chunk times, mirroring the simulated tuner.

@@ -166,7 +166,8 @@ fn rendezvous_round_trips_are_allocation_free_once_warm() {
 }
 
 /// The two small-message shapes over the per-pair lanes: a payload that
-/// rides inside the lane slot, and one that goes through a pooled cell.
+/// rides inside the lane slot, and one that goes through the lane's
+/// byte ring.
 #[test]
 fn inline_and_eager_round_trips_are_allocation_free() {
     for bytes in [64, 4 << 10] {
@@ -175,42 +176,47 @@ fn inline_and_eager_round_trips_are_allocation_free() {
 }
 
 /// Receiving tag B before tag A parks A and re-takes it: the parked-set
-/// buckets are indexed by source rank and keep their buffers, so the
-/// cycle stops allocating once each bucket has grown once.
+/// buckets are indexed by source rank and keep their buffers, and a
+/// parked payload's buffer goes back to a spare list once delivered, so
+/// the cycle stops allocating once each has grown once — for an inline
+/// A and for an eager one alike.
 #[test]
 fn warm_park_and_retake_cycle_is_allocation_free() {
     use nemesis::rt::{run_rt, RtLmt};
     const TAG_A: i32 = 1;
     const TAG_B: i32 = 2;
     const TAG_ACK: i32 = 3;
-    run_rt(2, RtLmt::Direct, |comm| {
-        let mut buf = [0u8; 64];
-        let mut cycle = |comm: &mut nemesis::rt::RtComm| {
-            if comm.rank() == 0 {
-                comm.send(1, TAG_A, &[0xA; 64]);
-                comm.send(1, TAG_B, &[0xB; 48]);
-                comm.recv(Some(1), Some(TAG_ACK), &mut buf);
-            } else {
-                assert_eq!(comm.recv(Some(0), Some(TAG_B), &mut buf), 48);
-                assert!(buf[..48].iter().all(|&b| b == 0xB));
-                assert_eq!(comm.recv(None, Some(TAG_A), &mut buf), 64);
-                assert!(buf.iter().all(|&b| b == 0xA));
-                comm.send(0, TAG_ACK, &[1]);
+    for bytes in [64, 4 << 10] {
+        run_rt(2, RtLmt::Direct, |comm| {
+            let a = vec![0xAu8; bytes];
+            let mut buf = vec![0u8; bytes];
+            let mut cycle = |comm: &mut nemesis::rt::RtComm| {
+                if comm.rank() == 0 {
+                    comm.send(1, TAG_A, &a);
+                    comm.send(1, TAG_B, &[0xB; 48]);
+                    comm.recv(Some(1), Some(TAG_ACK), &mut buf);
+                } else {
+                    assert_eq!(comm.recv(Some(0), Some(TAG_B), &mut buf), 48);
+                    assert!(buf[..48].iter().all(|&b| b == 0xB));
+                    assert_eq!(comm.recv(None, Some(TAG_A), &mut buf), bytes);
+                    assert!(buf == a);
+                    comm.send(0, TAG_ACK, &[1]);
+                }
+            };
+            for _ in 0..8 {
+                cycle(comm);
             }
-        };
-        for _ in 0..8 {
-            cycle(comm);
-        }
-        let before = local_allocs();
-        for _ in 0..1_000 {
-            cycle(comm);
-        }
-        let allocated = local_allocs() - before;
-        assert_eq!(
-            allocated,
-            0,
-            "rank {} allocated {allocated} time(s) over 1 000 park/re-take cycles",
-            comm.rank()
-        );
-    });
+            let before = local_allocs();
+            for _ in 0..1_000 {
+                cycle(comm);
+            }
+            let allocated = local_allocs() - before;
+            assert_eq!(
+                allocated,
+                0,
+                "rank {} allocated {allocated} time(s) over 1 000 park/re-take cycles of {bytes} B",
+                comm.rank()
+            );
+        });
+    }
 }

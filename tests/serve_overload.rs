@@ -2,8 +2,8 @@
 //! offers faster than the consumer drains, so `try_send` *must* keep
 //! reporting `QueueFull` (backpressure surfaces, nothing blocks
 //! forever), the admitted stream must stay per-pair FIFO even when the
-//! shed policy punches gaps in it, and once everything quiesces the
-//! shared eager-cell pool must be whole again (no leak under churn).
+//! shed policy punches gaps in it, and once everything quiesces every
+//! eager byte ring must be released again (no leak under churn).
 //!
 //! This is the rt-level contract the serving facade
 //! (`nemesis::serve`) builds its shed-or-retry admission policy on.
@@ -44,8 +44,9 @@ fn sustained_overload_sheds_loudly_keeps_fifo_and_leaks_no_cells() {
                     std::thread::yield_now();
                 }
                 if seq % EAGER_EVERY == 0 {
-                    // Interleave cell-pool traffic so the leak check at
-                    // the end exercises acquire/release under pressure.
+                    // Interleave eager traffic so the leak check at the
+                    // end exercises ring claims and releases under
+                    // pressure.
                     let big = vec![(seq % 251) as u8; 1024];
                     comm.send(1, TAG_EAGER, &big);
                 }
@@ -76,10 +77,8 @@ fn sustained_overload_sheds_loudly_keeps_fifo_and_leaks_no_cells() {
         } else {
             // Slow drain: strict FIFO over the soak stream, with
             // periodic stalls so the producer outruns us. The eager
-            // packets must be drained *interleaved*: each parked eager
-            // holds a pool cell, and letting all of them pile up in the
-            // unexpected set would exhaust the pool and wedge the
-            // producer's blocking eager sends.
+            // packets are drained interleaved, close to where they sit
+            // in the stream.
             for i in 0..TOTAL_A {
                 comm.recv(Some(0), Some(TAG_SOAK), &mut buf);
                 let seq = u64::from_le_bytes(buf[..8].try_into().unwrap());
@@ -119,12 +118,12 @@ fn sustained_overload_sheds_loudly_keeps_fifo_and_leaks_no_cells() {
                 assert!(seq > last, "gap-tolerant FIFO violated: {seq} after {last}");
                 last = seq;
             }
-            // Quiesced: every eager cell handed out during the soak
-            // must be back in the pool.
+            // Quiesced: every eager byte claimed during the soak must be
+            // released again.
             assert_eq!(
-                comm.free_cells(),
-                comm.total_cells(),
-                "eager cells leaked under sustained overload"
+                comm.eager_bytes_in_flight(),
+                0,
+                "eager ring bytes leaked under sustained overload"
             );
         }
     });
