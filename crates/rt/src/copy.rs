@@ -11,9 +11,10 @@
 //!   order; completion notification is a trailing status-write
 //!   descriptor, exactly the trick of Figure 2.
 
+use std::cell::UnsafeCell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use crate::queue::{nem_queue, Sender as QSender};
 
@@ -162,8 +163,22 @@ impl PipeSchedule {
 /// slot capacity by default, or toward a learned per-pair sweet spot.
 /// The receiver learns each chunk's size from the slot flag, so the two
 /// sides need no chunk-size agreement.
+///
+/// Slot `i` is bytes `[i * chunk, (i + 1) * chunk)` of one slab, and its
+/// flag alone says which side may touch them: no lock. Each side claims
+/// its end for the length of a transfer, so a second concurrent sender
+/// (or receiver) panics instead of racing the first.
 pub struct DoubleBufferPipe {
-    slots: Vec<Slot>,
+    /// One per slot: 0 = the sender's to fill, otherwise the length of
+    /// the chunk the receiver is to drain.
+    lens: Box<[Flag]>,
+    /// Unset until the receiver's first-touch init (see
+    /// [`DoubleBufferPipe::ensure_local`]); untouched pairs cost no
+    /// memory. The sender backoff-waits for it: under first-touch NUMA
+    /// policy the ring's pages then live on the receiver's node, so the
+    /// drain copy — the transfer's critical path — never crosses
+    /// sockets for its reads.
+    slab: OnceLock<Slab>,
     chunk: usize,
     start_chunk: usize,
     schedule: PipeSchedule,
@@ -171,20 +186,47 @@ pub struct DoubleBufferPipe {
     /// unclamped as a probe, so chunk classes above the current sweet
     /// spot keep being sampled).
     sends: AtomicUsize,
-    /// 0 until the slot buffers are allocated and first-touched. The
-    /// *receiver* initializes them at its first `recv` (the sender
-    /// backoff-waits): under first-touch NUMA policy the ring's pages
-    /// then live on the receiver's node, so the drain copy — the
-    /// transfer's critical path — never crosses sockets for its reads.
-    ready: AtomicUsize,
+    /// Whether a `send` / a `recv` is running (see [`Claim`]).
+    sending: AtomicBool,
+    receiving: AtomicBool,
 }
 
-struct Slot {
-    /// 0 = empty, otherwise payload length.
-    len: AtomicUsize,
-    /// Empty until the receiver's first-touch init (see
-    /// [`DoubleBufferPipe::ready`]); untouched pairs cost no memory.
-    buf: parking_lot::Mutex<Box<[u8]>>,
+/// A slot flag on a cache line of its own: each one is written by both
+/// sides once per chunk.
+#[repr(align(64))]
+struct Flag(AtomicUsize);
+
+/// The ring's slot storage.
+struct Slab(Box<[UnsafeCell<u8>]>);
+
+// SAFETY: slot `i`'s bytes are written only by the sender while flag `i`
+// reads 0 and read only by the receiver while it does not; each side
+// hands a slot over with a Release store of the flag that the other
+// side's Acquire load sees before it touches the bytes. `Claim` keeps
+// each side to one thread at a time.
+unsafe impl Sync for Slab {}
+
+impl Slab {
+    fn slot(&self, i: usize, chunk: usize) -> *mut u8 {
+        UnsafeCell::raw_get(self.0[i * chunk..].as_ptr())
+    }
+}
+
+/// One side's hold on its end of the pipe for one transfer: taken with
+/// one Acquire swap, given back on drop with a Release store, so each
+/// transfer's slot accesses happen before the next one's on that side,
+/// whichever thread runs it.
+struct Claim<'a>(&'a AtomicBool);
+
+fn claim<'a>(side: &'a AtomicBool, what: &str) -> Claim<'a> {
+    assert!(!side.swap(true, Ordering::Acquire), "two {what}s at once");
+    Claim(side)
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
 }
 
 impl DoubleBufferPipe {
@@ -212,24 +254,21 @@ impl DoubleBufferPipe {
     ) -> Self {
         assert!(chunk > 0 && nbufs > 0 && start_chunk > 0);
         Self {
-            slots: (0..nbufs)
-                .map(|_| Slot {
-                    len: AtomicUsize::new(0),
-                    buf: parking_lot::Mutex::new(Box::default()),
-                })
-                .collect(),
+            lens: (0..nbufs).map(|_| Flag(AtomicUsize::new(0))).collect(),
+            slab: OnceLock::new(),
             chunk,
             start_chunk: start_chunk.min(chunk),
             schedule,
             sends: AtomicUsize::new(0),
-            ready: AtomicUsize::new(0),
+            sending: AtomicBool::new(false),
+            receiving: AtomicBool::new(false),
         }
     }
 
     /// Bytes of slot storage the ring holds: none until a receiver's
     /// first drain, `nbufs × chunk` from then on.
     pub fn resident_bytes(&self) -> usize {
-        self.slots.iter().map(|s| s.buf.lock().len()).sum()
+        self.slab.get().map_or(0, |s| s.0.len())
     }
 
     /// Allocate and first-touch the slot buffers from the calling
@@ -238,24 +277,18 @@ impl DoubleBufferPipe {
     /// the page faults (a fresh zeroed allocation maps the kernel's
     /// shared zero page and would be placed by whoever writes first —
     /// i.e. the sender — without it).
-    fn ensure_local(&self) {
-        if self.ready.load(Ordering::Acquire) != 0 {
-            return;
-        }
-        for slot in &self.slots {
-            let mut buf = slot.buf.lock();
-            if buf.is_empty() {
-                let mut b = vec![0u8; self.chunk].into_boxed_slice();
-                for i in (0..b.len()).step_by(4096) {
-                    // Volatile defeats the "writing zero to zeroed
-                    // memory" elision; one store per page is enough to
-                    // fault it in.
-                    unsafe { b.as_mut_ptr().add(i).write_volatile(0) };
-                }
-                *buf = b;
+    fn ensure_local(&self) -> &Slab {
+        self.slab.get_or_init(|| {
+            let mut b = vec![0u8; self.lens.len() * self.chunk].into_boxed_slice();
+            for i in (0..b.len()).step_by(4096) {
+                // Volatile defeats the "writing zero to zeroed memory"
+                // elision; one store per page is enough to fault it in.
+                // SAFETY: `i < b.len()`.
+                unsafe { b.as_mut_ptr().add(i).write_volatile(0) };
             }
-        }
-        self.ready.store(1, Ordering::Release);
+            // SAFETY: `UnsafeCell<u8>` has `u8`'s layout.
+            Slab(unsafe { Box::from_raw(Box::into_raw(b) as *mut [UnsafeCell<u8>]) })
+        })
     }
 
     /// Copy `src` into the ring (first of the two copies), growing the
@@ -278,15 +311,17 @@ impl DoubleBufferPipe {
     /// non-probe hot path pays one counter increment and one atomic
     /// load over the fixed schedule — no clocks, no allocation.
     pub fn send(&self, src: &[u8]) {
-        let n = self.slots.len();
+        let _claim = claim(&self.sending, "sender");
+        let n = self.lens.len();
         let mut bo = crate::backoff::Backoff::new();
         // The receiver owns the ring's first touch (NUMA placement);
         // wait for it before writing any slot. The rendezvous protocol
         // guarantees a receiver is (or will be) draining this transfer,
         // so this is the same wait as a full ring.
-        while self.ready.load(Ordering::Acquire) == 0 {
+        while self.slab.get().is_none() {
             bo.snooze();
         }
+        let slab = self.slab.get().expect("the receiver set the slab up");
         bo.reset();
         let tune = match &self.schedule {
             PipeSchedule::Learned(t) => Some(t),
@@ -330,13 +365,19 @@ impl DoubleBufferPipe {
             };
         while at < src.len() {
             let len = cur.min(src.len() - at);
-            let slot = &self.slots[i % n];
-            while slot.len.load(Ordering::Acquire) != 0 {
+            let flag = &self.lens[i % n].0;
+            while flag.load(Ordering::Acquire) != 0 {
                 bo.snooze();
             }
             bo.reset();
-            slot.buf.lock()[..len].copy_from_slice(&src[at..at + len]);
-            slot.len.store(len, Ordering::Release);
+            // SAFETY: the flag read 0 with Acquire: the receiver is done
+            // with this slot until the Release store below, and
+            // `len <= cur <= chunk` keeps the copy inside it.
+            unsafe {
+                let dst = slab.slot(i % n, self.chunk);
+                std::ptr::copy_nonoverlapping(src[at..].as_ptr(), dst, len);
+            }
+            flag.store(len, Ordering::Release);
             at += len;
             i += 1;
             if len == cur {
@@ -381,7 +422,8 @@ impl DoubleBufferPipe {
     /// until learned), regular stores below it. Learned pipes time the
     /// pure copy work and feed the pair's NT crossover model.
     pub fn recv(&self, dst: &mut [u8]) {
-        self.ensure_local();
+        let _claim = claim(&self.receiving, "receiver");
+        let slab = self.ensure_local();
         let tune = match &self.schedule {
             PipeSchedule::Learned(t) => Some(t),
             _ => None,
@@ -391,15 +433,15 @@ impl DoubleBufferPipe {
             Some(t) => t.nt_decision(dst.len(), llc),
             None => dst.len() >= llc,
         };
-        let n = self.slots.len();
+        let n = self.lens.len();
         let mut bo = crate::backoff::Backoff::new();
         let mut at = 0usize;
         let mut i = 0usize;
         let mut copy_nanos = 0u64;
         while at < dst.len() {
-            let slot = &self.slots[i % n];
+            let flag = &self.lens[i % n].0;
             let len = loop {
-                let len = slot.len.load(Ordering::Acquire);
+                let len = flag.load(Ordering::Acquire);
                 if len != 0 {
                     break len;
                 }
@@ -407,16 +449,20 @@ impl DoubleBufferPipe {
             };
             bo.reset();
             assert!(len <= dst.len() - at, "chunk overruns the transfer");
+            // SAFETY: the flag read `len` with Acquire: the sender's
+            // `len <= chunk` bytes into this slot happened before, and it
+            // writes the slot again only after the Release store below.
+            let chunk = unsafe { std::slice::from_raw_parts(slab.slot(i % n, self.chunk), len) };
             if tune.is_some() {
                 // Time only the copy (the wait above is the sender's
                 // cost) — the crossover model's sample.
                 let t0 = std::time::Instant::now();
-                copy_chunk(&slot.buf.lock()[..len], &mut dst[at..at + len], nt);
+                copy_chunk(chunk, &mut dst[at..at + len], nt);
                 copy_nanos += t0.elapsed().as_nanos() as u64;
             } else {
-                copy_chunk(&slot.buf.lock()[..len], &mut dst[at..at + len], nt);
+                copy_chunk(chunk, &mut dst[at..at + len], nt);
             }
-            slot.len.store(0, Ordering::Release);
+            flag.store(0, Ordering::Release);
             at += len;
             i += 1;
         }
@@ -687,7 +733,7 @@ mod tests {
         // Construction allocates nothing: slot buffers stay empty until
         // a receiver runs (first-touch NUMA placement is the receiver's
         // job, and untouched pairs must cost no memory).
-        assert_eq!(pipe.ready.load(Ordering::Relaxed), 0);
+        assert!(pipe.slab.get().is_none());
         assert_eq!(pipe.resident_bytes(), 0, "slot allocated before recv");
         let src = pattern(100_000);
         let mut dst = vec![0u8; 100_000];
@@ -699,10 +745,11 @@ mod tests {
             pipe.recv(&mut dst);
         });
         assert_eq!(src, dst);
-        assert_eq!(pipe.ready.load(Ordering::Relaxed), 1);
-        for slot in &pipe.slots {
-            assert_eq!(slot.buf.lock().len(), RING_SLOT_BYTES, "slot sized");
-        }
+        assert_eq!(
+            pipe.resident_bytes(),
+            RING_SLOTS * RING_SLOT_BYTES,
+            "slots sized"
+        );
     }
 
     #[test]
@@ -716,19 +763,11 @@ mod tests {
             // until all eight slots are published: the sender is now
             // parked on slot 0 with 832 KiB still to go.
             pipe.ensure_local();
-            while pipe
-                .slots
-                .iter()
-                .any(|s| s.len.load(Ordering::Acquire) == 0)
-            {
+            while pipe.lens.iter().any(|f| f.0.load(Ordering::Acquire) == 0) {
                 std::thread::yield_now();
             }
             std::thread::sleep(std::time::Duration::from_millis(5));
-            let parked: usize = pipe
-                .slots
-                .iter()
-                .map(|s| s.len.load(Ordering::Acquire))
-                .sum();
+            let parked: usize = pipe.lens.iter().map(|f| f.0.load(Ordering::Acquire)).sum();
             assert_eq!(parked, (4 + 8 + 16 + 5 * 32) << 10, "ran ahead by one ring");
             pipe.recv(&mut dst);
         });
@@ -821,6 +860,34 @@ mod tests {
         ] {
             assert_eq!(roundtrip(&pipe, &src), src);
         }
+    }
+
+    #[test]
+    fn a_second_concurrent_sender_or_receiver_panics_instead_of_racing() {
+        let pipe = DoubleBufferPipe::new(4 << 10, 2);
+        // With the slab set up, and a byte published for the receiver, a
+        // second side let in would finish instead of waiting forever.
+        pipe.ensure_local();
+        for (side, what) in [(&pipe.sending, "sender"), (&pipe.receiving, "receiver")] {
+            if what == "receiver" {
+                pipe.send(&[2]);
+            }
+            let first = claim(side, what);
+            let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if what == "sender" {
+                    pipe.send(&[1]);
+                } else {
+                    pipe.recv(&mut [0]);
+                }
+            }));
+            assert!(second.is_err(), "a second {what} was let in");
+            drop(first);
+        }
+        let mut got = [0];
+        pipe.recv(&mut got);
+        assert_eq!(got, [2], "the refused sides moved nothing");
+        // Both claims were given back: a whole transfer still runs.
+        assert_eq!(roundtrip(&pipe, &[9; 10_000]), [9; 10_000]);
     }
 
     #[test]

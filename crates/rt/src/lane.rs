@@ -3,14 +3,17 @@
 //!
 //! One lane serves one ordered rank pair, the role a Nemesis "fastbox"
 //! plays ahead of the shared receive queue [6]. It is a ring of
-//! 64-byte-aligned slots, each a 40-byte header (the `full` flag, then a
-//! [`Header`]) followed by an [`INLINE_MAX`]-byte inline area. Neither
-//! side shares an index with the other: the producer keeps its tail and
-//! the consumer its head privately, and a slot changes hands through
-//! its own `full` flag alone. A push is plain stores plus one Release
-//! store of `full`; a take reads the slot in place and frees it with one
-//! Release store — no locked instruction on either side, so the misses
-//! of consecutive messages can overlap. Only `len` bytes of the inline
+//! 64-byte-aligned slots, each a 40-byte header (the `stamp`, then a
+//! [`Header`]) followed by an [`INLINE_MAX`]-byte inline area. Every
+//! slot line has a single writer, the producer: it stamps a slot with
+//! its message count + 1, and the consumer takes the slot whose stamp is
+//! its own count + 1 without ever writing it. The consumer hands slots
+//! back by publishing its count (`taken`) on a line of its own, which
+//! the producer re-reads only when the credit it saw last runs out. A
+//! push is plain stores plus one Release store of the stamp — no load of
+//! a line the consumer wrote — and a take dirties only the consumer's
+//! line: no locked instruction on either side, so the misses of
+//! consecutive messages can overlap. Only `len` bytes of the inline
 //! area are ever written or read: a 64-byte payload moves two cache
 //! lines, not the whole slot.
 //!
@@ -20,9 +23,9 @@
 //! when the tail cannot hold it — and the header names the payload's
 //! offset and the ring position that frees it. The consumer takes
 //! messages in lane order, so ring bytes are released in order: a
-//! release is one Release store of a consumer-owned position on a line
-//! of its own, which the producer re-reads only when the room it saw
-//! last runs out. No per-payload flag, no CAS.
+//! release is one Release store of `released`, beside `taken` on the
+//! consumer's line, and the producer keeps a ring credit the same way
+//! as its slot credit. No per-payload flag, no CAS.
 //!
 //! Slots and ring are zeroed memory that becomes resident only where a
 //! pair writes it (see `Lines`).
@@ -30,7 +33,7 @@
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::cell::{Cell, UnsafeCell};
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Payload bytes a slot can carry inline.
@@ -67,8 +70,10 @@ pub struct Header {
 
 #[repr(C, align(64))]
 struct Slot {
-    /// 0 = the producer's to fill, 1 = the consumer's to read.
-    full: AtomicU32,
+    /// The producer's message count + 1 as of the push that filled the
+    /// slot (0 before the first): the consumer's to read while it equals
+    /// the consumer's count + 1. Only the producer writes the slot.
+    stamp: AtomicUsize,
     hdr: UnsafeCell<Header>,
     data: UnsafeCell<[u8; INLINE_MAX]>,
 }
@@ -114,26 +119,38 @@ impl Drop for Lines {
 #[repr(align(64))]
 struct Own(AtomicUsize);
 
+/// The consumer's line: the only lane memory it writes, one store per
+/// take (two for an eager one) to a line the producer reads only when a
+/// credit runs out.
+#[derive(Default)]
+#[repr(align(64))]
+struct Consumed {
+    /// Messages taken: its Release store hands their slots back to the
+    /// producer's Acquire load.
+    taken: AtomicUsize,
+    /// Ring position released up to: its Release store hands the bytes
+    /// below back to the producer's Acquire load.
+    released: AtomicUsize,
+}
+
 struct Shared {
     /// `cap` slots.
     slots: Lines,
     cap: usize,
     /// The eager byte ring; its `len` is a multiple of [`LINE`].
     ring: Lines,
-    /// Ring position the consumer has released up to: its Release store
-    /// hands the bytes below back to the producer's Acquire load.
-    released: Own,
+    consumed: Consumed,
     /// Ring position the producer has claimed up to. Only the producer
-    /// writes it and it publishes nothing (the slot flags do), so the
+    /// writes it and it publishes nothing (the slot stamps do), so the
     /// producer's own accesses are Relaxed.
     claimed: Own,
 }
 
 // SAFETY: the lane is plain memory reached only through `LaneTx` and
-// `LaneRx`, one of each; a slot's `hdr`/`data` and the ring bytes a
-// header names are touched only by the side the slot's `full` flag
-// names, under that flag's Release/Acquire edge, and ring bytes return
-// to the producer only through `released`'s Release/Acquire edge.
+// `LaneRx`, one of each. A slot's `hdr`/`data` and the ring bytes its
+// header names pass to the consumer through the slot stamp's
+// Release/Acquire edge, and back to the producer only through `taken`'s
+// (the slot) and `released`'s (the ring bytes) Release/Acquire edges.
 unsafe impl Send for Shared {}
 unsafe impl Sync for Shared {}
 
@@ -142,7 +159,7 @@ impl Shared {
     fn slot(&self, i: usize) -> &Slot {
         debug_assert!(i < self.cap);
         // SAFETY: `i < cap` slots were allocated zeroed and line-aligned,
-        // and all-zero bytes are a valid `Slot` (flag 0, `Kind::Inline`,
+        // and all-zero bytes are a valid `Slot` (stamp 0, `Kind::Inline`,
         // integers); everything behind the reference that either side
         // writes is an atomic or inside an `UnsafeCell`.
         unsafe { &*self.slots.start.cast::<Slot>().as_ptr().add(i) }
@@ -160,7 +177,7 @@ impl Shared {
     fn eager_bytes_in_flight(&self) -> usize {
         // `released` first: whatever it reads, `claimed` was already at
         // least that far.
-        let released = self.released.0.load(Ordering::Acquire);
+        let released = self.consumed.released.load(Ordering::Acquire);
         self.claimed.0.load(Ordering::Acquire) - released
     }
 }
@@ -174,6 +191,12 @@ impl Shared {
 pub struct LaneTx {
     lane: Arc<Shared>,
     tail: Cell<usize>,
+    /// Messages pushed.
+    sent: Cell<usize>,
+    /// `taken` plus the slot count, as of the last look at `taken`: a
+    /// push while `sent` is below it finds its slot free without looking
+    /// again.
+    slot_credit: Cell<usize>,
     /// `released` plus the ring size, as of the last look at `released`:
     /// a claim ending at or before it fits without looking again.
     credit: Cell<usize>,
@@ -184,6 +207,8 @@ pub struct LaneTx {
 pub struct LaneRx {
     lane: Arc<Shared>,
     head: usize,
+    /// Messages taken; the consumer's private copy of `taken`.
+    taken: usize,
 }
 
 /// A lane of `capacity` slots, every one of them usable, with a byte
@@ -195,15 +220,22 @@ pub fn lane(capacity: usize, ring_bytes: usize) -> (LaneTx, LaneRx) {
         slots: Lines::new(slots.size()),
         cap: capacity,
         ring: Lines::new(ring_bytes.next_multiple_of(LINE)),
-        released: Own(AtomicUsize::new(0)),
+        consumed: Consumed::default(),
         claimed: Own(AtomicUsize::new(0)),
     });
     let tx = LaneTx {
+        slot_credit: Cell::new(capacity),
         credit: Cell::new(lane.ring.len),
         lane: Arc::clone(&lane),
         tail: Cell::new(0),
+        sent: Cell::new(0),
     };
-    (tx, LaneRx { lane, head: 0 })
+    let rx = LaneRx {
+        lane,
+        head: 0,
+        taken: 0,
+    };
+    (tx, rx)
 }
 
 impl LaneTx {
@@ -215,11 +247,16 @@ impl LaneTx {
     #[inline]
     pub fn try_push(&self, mut hdr: Header, payload: &[u8]) -> bool {
         debug_assert!(hdr.kind == Kind::Rndv || hdr.len == payload.len());
+        let sent = self.sent.get();
+        if sent == self.slot_credit.get() {
+            let taken = self.lane.consumed.taken.load(Ordering::Acquire);
+            self.slot_credit.set(taken + self.lane.cap);
+            if sent == self.slot_credit.get() {
+                return false;
+            }
+        }
         let tail = self.tail.get();
         let slot = self.lane.slot(tail);
-        if slot.full.load(Ordering::Acquire) != 0 {
-            return false;
-        }
         let dst: *mut u8 = if hdr.kind == Kind::Eager {
             let Some((off, end)) = self.claim(payload.len()) else {
                 return false;
@@ -231,16 +268,24 @@ impl LaneTx {
             assert!(payload.len() <= INLINE_MAX, "inline payload too large");
             slot.data.get().cast()
         };
-        // SAFETY: `full == 0` read with Acquire: the consumer is done
-        // with this slot and will not look inside again before the
-        // Release store below. `dst` is this slot's inline area or ring
-        // bytes `claim` found released, which the consumer will not read
-        // before that store either. We are the only producer.
+        // SAFETY: `taken` read with Acquire at the last refresh put the
+        // credit above `sent`, so message `sent - cap`, this slot's last,
+        // is taken: the consumer is done with the slot and will not look
+        // inside again before the stamp store below names the count it
+        // waits for. `dst` is this slot's inline area or ring bytes
+        // `claim` found released, which the consumer will not read before
+        // that store either. We are the only producer.
+        //
+        // The payload goes first, so the header and the stamp share one
+        // burst of stores to the slot's first line: a consumer polling
+        // the stamp pulls that line away once per push, not also once
+        // mid-copy.
         unsafe {
-            *slot.hdr.get() = hdr;
             std::ptr::copy_nonoverlapping(payload.as_ptr(), dst, payload.len());
+            *slot.hdr.get() = hdr;
         }
-        slot.full.store(1, Ordering::Release);
+        slot.stamp.store(sent + 1, Ordering::Release);
+        self.sent.set(sent + 1);
         self.tail.set(self.lane.next(tail));
         true
     }
@@ -267,7 +312,7 @@ impl LaneTx {
             (0, pos + (cap - off) + need)
         };
         if end > self.credit.get() {
-            let released = self.lane.released.0.load(Ordering::Acquire);
+            let released = self.lane.consumed.released.load(Ordering::Acquire);
             self.credit.set(released + cap);
             // Positions `[released, end)` must fit the ring, unless it is
             // empty: then the skip holds nothing anyone still reads.
@@ -289,19 +334,21 @@ impl LaneTx {
 impl LaneRx {
     /// Hand the oldest published message to `f` in place — its header
     /// and its payload: the slot's inline bytes, the ring bytes of an
-    /// eager message, nothing for a rendezvous — then free the slot and
-    /// any ring bytes. `None` when the lane is empty.
+    /// eager message, nothing for a rendezvous — then hand the slot and
+    /// any ring bytes back. The slot itself is only read. `None` when the
+    /// lane is empty.
     #[inline]
     pub fn take<R>(&mut self, f: impl FnOnce(&Header, &[u8]) -> R) -> Option<R> {
         let slot = self.lane.slot(self.head);
-        if slot.full.load(Ordering::Acquire) == 0 {
+        if slot.stamp.load(Ordering::Acquire) != self.taken + 1 {
             return None;
         }
-        // SAFETY: `full == 1` read with Acquire: the producer's writes
-        // to this slot and to the ring bytes its header names happened
-        // before, and it writes neither again until the Release stores
-        // below; the push bounded `len` by the inline area or kept
-        // `[word, word + len)` inside the ring. We are the only consumer.
+        // SAFETY: the stamp names our next message, read with Acquire:
+        // the producer's writes to this slot and to the ring bytes its
+        // header names happened before, and it writes neither again
+        // until the `taken`/`released` Release stores below; the push
+        // bounded `len` by the inline area or kept `[word, word + len)`
+        // inside the ring. We are the only consumer.
         let (hdr, payload) = unsafe {
             let hdr = &*slot.hdr.get();
             let payload: &[u8] = match hdr.kind {
@@ -314,10 +361,12 @@ impl LaneRx {
             (hdr, payload)
         };
         let r = f(hdr, payload);
+        let consumed = &self.lane.consumed;
         if hdr.kind == Kind::Eager {
-            self.lane.released.0.store(hdr.seq, Ordering::Release);
+            consumed.released.store(hdr.seq, Ordering::Release);
         }
-        slot.full.store(0, Ordering::Release);
+        self.taken += 1;
+        consumed.taken.store(self.taken, Ordering::Release);
         self.head = self.lane.next(self.head);
         Some(r)
     }
@@ -367,7 +416,7 @@ mod tests {
     fn slot_is_a_40_byte_header_then_the_inline_area() {
         use std::mem::{align_of, offset_of, size_of};
         assert_eq!(align_of::<Slot>(), 64);
-        assert_eq!(offset_of!(Slot, full), 0);
+        assert_eq!(offset_of!(Slot, stamp), 0);
         assert_eq!(offset_of!(Slot, data), 40);
         assert_eq!(size_of::<Slot>(), 320);
     }
@@ -378,6 +427,11 @@ mod tests {
         assert_eq!((align_of::<LaneTx>(), size_of::<LaneTx>()), (64, 64));
         assert_eq!((align_of::<LaneRx>(), size_of::<LaneRx>()), (64, 64));
         assert_eq!(size_of::<Own>(), 64);
+        assert_eq!(
+            size_of::<Consumed>(),
+            64,
+            "both consumer positions, one line"
+        );
         let (tx, _rx) = lane(3, 100);
         assert_eq!(tx.lane.slots.start.as_ptr() as usize % 64, 0);
         assert_eq!(tx.lane.ring.start.as_ptr() as usize % 64, 0);
@@ -446,6 +500,102 @@ mod tests {
         let got = rx.take(|h, d| (h.kind, h.word, h.seq, d.len()));
         assert_eq!(got, Some((Kind::Eager, 0, 0, 0)));
         assert_eq!(rx.eager_bytes_in_flight(), 0);
+    }
+
+    #[test]
+    fn take_leaves_every_byte_of_the_slot_unchanged() {
+        // One slot, so every kind passes through slot 0: the consumer
+        // must hand it back through `taken` alone, never by writing it.
+        let (tx, mut rx) = lane(1, 4 << 10);
+        let snapshot = |rx: &LaneRx| {
+            let slot: *const Slot = rx.lane.slot(0);
+            // SAFETY: the producer is quiescent (same thread), and the
+            // zeroed allocation initialises every byte, padding included.
+            unsafe { slot.cast::<[u8; 320]>().read() }
+        };
+        let eager = [0x5Au8; 1000];
+        let rndv = Header {
+            kind: Kind::Rndv,
+            word: 0xbeef,
+            seq: 9,
+            ..inline_hdr(2, 1 << 20)
+        };
+        let pushes: [(Header, &[u8]); 3] = [
+            (inline_hdr(0, 200), &[0xA5; 200]),
+            (eager_hdr(1, eager.len()), &eager),
+            (rndv, &[]),
+        ];
+        for (hdr, payload) in pushes {
+            assert!(tx.try_push(hdr, payload));
+            let before = snapshot(&rx);
+            let got = rx.take(|h, d| (h.kind, h.tag, d == payload));
+            assert_eq!(got, Some((hdr.kind, hdr.tag, true)));
+            assert!(
+                before == snapshot(&rx),
+                "{:?}: take wrote the slot",
+                hdr.kind
+            );
+        }
+    }
+
+    #[test]
+    fn producer_refreshes_its_slot_credit_at_capacity_one_two_and_three() {
+        const MSGS: usize = if cfg!(debug_assertions) {
+            20_000
+        } else {
+            200_000
+        };
+        let table = table();
+        for cap in [1usize, 2, 3] {
+            let (tx, mut rx) = lane(cap, 16 << 10);
+            // Every fifth message eager, so ring credit and slot credit
+            // run out in turn.
+            let shape = |i: usize| {
+                let len = i % 97;
+                if i.is_multiple_of(5) {
+                    (eager_hdr(i as i32, len + 300), len + 300)
+                } else {
+                    (inline_hdr(i as i32, len), len)
+                }
+            };
+            let refusals = std::thread::scope(|s| {
+                let table = &table;
+                let producer = s.spawn(move || {
+                    let mut refusals = 0usize;
+                    for i in 0..MSGS {
+                        let (hdr, len) = shape(i);
+                        while !tx.try_push(hdr, body(table, i, len)) {
+                            refusals += 1;
+                            std::hint::spin_loop();
+                        }
+                    }
+                    refusals
+                });
+                for i in 0..MSGS {
+                    let (want, len) = shape(i);
+                    loop {
+                        let ok = rx.take(|h, d| {
+                            assert_eq!((h.kind, h.tag, h.len), (want.kind, i as i32, len));
+                            assert!(d == body(table, i, len), "cap {cap}: message {i} differs");
+                        });
+                        if ok.is_some() {
+                            break;
+                        }
+                        std::hint::spin_loop();
+                    }
+                }
+                producer.join().unwrap()
+            });
+            assert!(
+                rx.take(|_, _| ()).is_none(),
+                "cap {cap}: a message arrived twice"
+            );
+            assert_eq!(rx.eager_bytes_in_flight(), 0);
+            assert!(
+                refusals > 0,
+                "cap {cap}: the producer never found the lane full"
+            );
+        }
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //!   traversal), the structure behind every Nemesis receive queue [6];
 //!   here it carries the offload engine's descriptors.
 //! * [`lane`] — the bounded SPSC ring, one per ordered rank pair, that
-//!   [`comm`] hands every message over: plain stores and one Release
-//!   flag per side, no locked instruction (the Nemesis "fastbox" role),
-//!   plus the pair's byte ring for eager payloads, released in order by
-//!   one consumer-owned position.
+//!   [`comm`] hands every message over (the Nemesis "fastbox" role):
+//!   slots only the producer writes, stamped with its message count,
+//!   handed back through the consumer's count on a line of its own; no
+//!   locked instruction. Beside it the pair's byte ring for eager
+//!   payloads, released in order through the same consumer line.
 //! * [`cellpool`] — a Treiber-stack free list of fixed-size message
 //!   cells with packed ABA generation tags. Off the comm path: its
 //!   `FreeStack` recycles [`queue`]'s cells, and `CellPool` is kept for
