@@ -639,19 +639,6 @@ impl LmtRecvOp for StripedRecvOp {
                     }
                     r.done = true;
                     did = true;
-                    // `STRIPE_TRACE=1` dumps per-rail completion times
-                    // (virtual ps) — the first thing to look at when a
-                    // stripe's aggregate bandwidth stops scaling.
-                    if std::env::var_os("STRIPE_TRACE").is_some() {
-                        let now = comm.proc().now();
-                        eprintln!(
-                            "[stripe] rail={:?} span={} start={:?} done={now} elapsed={}",
-                            r.kind,
-                            r.span,
-                            r.started,
-                            now.saturating_sub(r.started.unwrap_or_default())
-                        );
-                    }
                     // Per-rail sample: the crossover model sees each
                     // mechanism's own bandwidth (the rail-weighting
                     // input), not one blended parent number.

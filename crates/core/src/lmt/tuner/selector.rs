@@ -9,13 +9,13 @@
 //! size class, which arm actually delivers the most bandwidth on this
 //! machine — including the striped meta-backend at 2–4 rails, whose
 //! profitability no closed-form rule captures (it depends on bus
-//! headroom the architectural rules cannot see; cf. the FSB-bound E5345
-//! contrast in `BENCH_4.json`).
+//! headroom the architectural rules cannot see; cf. the FSB-bound E5345,
+//! where striping loses).
 //!
 //! The bandit itself — sweep, exploit with hysteresis, exponentially
 //! spaced probes — is [`nemesis_model::Bandit`], shared with the
 //! real-thread tuner; the convergence bounds (`scenario_sweep`: within
-//! 1.25× of the best fixed backend; `BENCH_5.json`: ≥ 0.95×) depend on
+//! 1.25× of the best fixed backend; `standing_bars`: ≥ 0.95×) depend on
 //! its probes becoming rare. What lives here is sim-side: the arm
 //! table, the demotion clock, the `(group id, sequence)` memo of the
 //! collective bandit, and the cell exchange formats.

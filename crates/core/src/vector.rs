@@ -13,7 +13,8 @@
 //! * **Shm / pipe backends** cannot express scatter lists on the wire;
 //!   like MPICH2's dataloop engine, the sender packs into a contiguous
 //!   staging buffer and the receiver unpacks — two extra copies, which
-//!   is exactly the gap the `vector_ablation` experiment measures.
+//!   is exactly the gap `tests/paper_claims.rs`
+//!   (`vectorial_buffers_win_coarse_blocks_pack_wins_fine`) measures.
 
 use nemesis_kernel::{BufId, Iov, Os};
 use nemesis_sim::Proc;

@@ -131,11 +131,11 @@ fn main() {
         "\nColumns are strided ({} blocks of {} B, stride {} B). At this \
          granularity — one f64 per row — the pack/unpack path wins: KNEM's \
          per-segment pinning and mapping outweighs the copies it saves. \
-         Run `cargo run --release -p nemesis-bench --bin vector_ablation` \
-         for the full granularity sweep: the scatter path takes over once \
-         blocks reach a few hundred bytes, which is why real codes \
-         exchange multi-variable or multi-layer halos through KNEM but \
-         pack single-variable columns.",
+         `vectorial_buffers_win_coarse_blocks_pack_wins_fine` in \
+         tests/paper_claims.rs holds both ends of the granularity sweep: \
+         pack/unpack wins at 64 B blocks, the scatter path at 4 KiB, which \
+         is why real codes exchange multi-variable or multi-layer halos \
+         through KNEM but pack single-variable columns.",
         N, CELL, ROW
     );
 }
