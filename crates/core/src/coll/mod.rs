@@ -15,20 +15,23 @@
 //! documented no-op, mirroring MPI's undefined-on-non-member the safe
 //! way). Each group sequences its own operations, so interleaved
 //! collectives on overlapping groups can never collide in tag space
-//! (see [`group`]).
+//! (see [`nemesis_model::group`]).
 //!
-//! **Algorithms.** Each of bcast / reduce / allgather / alltoall has two
-//! algorithm families:
+//! **Schedules.** This module is the virtual-time executor of
+//! [`nemesis_model::sched`]: every peer, round and block index comes
+//! from there, and `nemesis_rt::coll` executes the same schedules on
+//! real threads, so arm *k* of a collective is one algorithm on both
+//! stacks:
 //!
-//! * arm 0 — the classic fixed algorithm (binomial bcast/reduce, ring
-//!   allgather, pairwise-exchange alltoall), byte- and timing-identical
-//!   to the pre-group implementation over the universe group;
-//! * arm 1 — the alternate family: a segmented *chain* bcast pipelined
-//!   through [`ChunkPipeline`](crate::lmt::ChunkPipeline) schedules, a
-//!   *linear* reduce with the fold order pinned to ascending group
-//!   rank, a Bruck-style `log`-round allgather, and a *scattered*
-//!   alltoall that posts every receive and send up front so all
-//!   `group−1` transfers overlap.
+//! | kind | arm 0 | arm 1 |
+//! |---|---|---|
+//! | bcast | binomial tree | chain, segments cut by [`ChunkPipeline`](crate::lmt::ChunkPipeline) schedules |
+//! | reduce | binomial tree | linear, folded in ascending group rank |
+//! | allgather | ring, group size − 1 rounds | Bruck, `ceil(log2)` rounds through a staging buffer |
+//! | alltoall | pairwise, one shift per step | scattered: every shift posted up front, so all its transfers overlap (§6) |
+//!
+//! Arm 0 is byte- and timing-identical to the pre-group implementation
+//! over the universe group.
 //!
 //! `NEMESIS_COLL_ALG` (or [`NemesisConfig::coll_alg`]) picks the arm:
 //! `fixed`, `alternate`, or `learned` — the latter turns the choice
@@ -58,21 +61,11 @@ use crate::comm::Comm;
 use crate::config::CollAlgSelect;
 use crate::datatype::{bytes_of, load_raw, store_raw, Element};
 use crate::lmt::tuner::selector::CollKind;
-
-/// Base for internal collective tags (applications should use small
-/// non-negative tags).
-const COLL_TAG: i32 = 0x4000_0000;
+use nemesis_model::sched::{binomial, chain, doubling, shift, tag as gtag, Shift};
 
 /// Ceiling for chain-bcast segments: past this the pipeline stops
 /// growing (the fill/drain amortization has flattened).
 const CHAIN_SEG_MAX: u64 = 256 << 10;
-
-/// The tag of one collective phase: base + 6-bit group id + 14-bit
-/// per-group sequence + phase code. Stays below `i32::MAX`
-/// (`0x4000_0000 + 0xFC0_0000 + 0x3F_FF00 + 0xFF`).
-fn gtag(g: &CommGroup, seq: i32, phase: i32) -> i32 {
-    COLL_TAG + ((g.id() & 0x3F) << 22) + ((seq & 0x3FFF) << 8) + phase
-}
 
 /// Reduction operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,15 +161,11 @@ impl<'a> Comm<'a> {
             return;
         }
         let s = self.scratch_buf();
-        let mut k = 0;
-        let mut dist = 1;
-        while dist < gn {
-            let dst = g.world_rank((gr + dist) % gn);
-            let src = g.world_rank((gr + gn - dist) % gn);
-            let tag = gtag(g, seq, k);
+        for (k, dist) in doubling(gn).enumerate() {
+            let r = shift(gn, gr, dist);
+            let (dst, src) = (g.world_rank(r.dst), g.world_rank(r.src));
+            let tag = gtag(g, seq, k as i32);
             self.sendrecv(dst, tag, s, 0, 1, Some(src), Some(tag), s, 64, 1);
-            dist <<= 1;
-            k += 1;
         }
     }
 
@@ -221,26 +210,12 @@ impl<'a> Comm<'a> {
         off: u64,
         len: u64,
     ) {
-        let gn = g.size();
-        let vrank = (gr + gn - root) % gn;
-        // Receive from parent (if not root).
-        let mut mask = 1;
-        while mask < gn {
-            if vrank & mask != 0 {
-                let parent = g.world_rank((vrank - mask + root) % gn);
-                self.recv(Some(parent), Some(tag), buf, off, len);
-                break;
-            }
-            mask <<= 1;
+        let t = binomial(g, gr, root);
+        if let Some(parent) = t.parent {
+            self.recv(Some(parent), Some(tag), buf, off, len);
         }
-        // Forward to children.
-        let mut mask = mask >> 1;
-        while mask > 0 {
-            if vrank + mask < gn {
-                let child = g.world_rank((vrank + mask + root) % gn);
-                self.send(child, tag, buf, off, len);
-            }
-            mask >>= 1;
+        for &child in t.children.iter().rev() {
+            self.send(child, tag, buf, off, len);
         }
     }
 
@@ -263,10 +238,7 @@ impl<'a> Comm<'a> {
         off: u64,
         len: u64,
     ) {
-        let gn = g.size();
-        let pos = (gr + gn - root) % gn; // position in the chain
-        let pred = (pos > 0).then(|| g.world_rank((gr + gn - 1) % gn));
-        let succ = (pos + 1 < gn).then(|| g.world_rank((gr + 1) % gn));
+        let (pred, succ) = chain(g, gr, root);
         // Enumerate the segment schedule identically on every member
         // (pair-less + receiver-side: consumes no probe cadence, reads
         // no pair state, so all ranks derive the same cut points).
@@ -349,33 +321,26 @@ impl<'a> Comm<'a> {
             os.touch_write(self.proc(), tmp, 0, bytes);
             acc = folded.unwrap();
         } else if gn > 1 {
-            // Binomial tree over group virtual ranks.
-            let vrank = (gr + gn - root) % gn;
+            // Binomial tree: fold the children in, then pass the
+            // accumulator to the parent.
+            let t = binomial(g, gr, root);
             let tmp = os.alloc(self.rank(), bytes.max(1));
-            let mut mask = 1;
-            while mask < gn {
-                if vrank & mask != 0 {
-                    // Send accumulator to parent and stop.
-                    let parent = g.world_rank((vrank - mask + root) % gn);
-                    store_raw(os, self.proc(), tmp, 0, &acc);
-                    os.touch_write(self.proc(), tmp, 0, bytes);
-                    self.send(parent, tag, tmp, 0, bytes);
-                    self.credit_coll(g, CollKind::Reduce, bytes, arm, bytes, start);
-                    return;
+            for &child in &t.children {
+                self.recv(Some(child), Some(tag), tmp, 0, bytes);
+                let other: Vec<T> = load_raw(os, self.proc(), tmp, 0, n_elems);
+                os.touch_read(self.proc(), tmp, 0, bytes);
+                for (a, b) in acc.iter_mut().zip(other) {
+                    *a = op(*a, b);
                 }
-                let child = vrank + mask;
-                if child < gn {
-                    let child = g.world_rank((child + root) % gn);
-                    self.recv(Some(child), Some(tag), tmp, 0, bytes);
-                    let other: Vec<T> = load_raw(os, self.proc(), tmp, 0, n_elems);
-                    os.touch_read(self.proc(), tmp, 0, bytes);
-                    for (a, b) in acc.iter_mut().zip(other) {
-                        *a = op(*a, b);
-                    }
-                    // The combine pass writes the accumulator.
-                    os.touch_write(self.proc(), tmp, 0, bytes);
-                }
-                mask <<= 1;
+                // The combine pass writes the accumulator.
+                os.touch_write(self.proc(), tmp, 0, bytes);
+            }
+            if let Some(parent) = t.parent {
+                store_raw(os, self.proc(), tmp, 0, &acc);
+                os.touch_write(self.proc(), tmp, 0, bytes);
+                self.send(parent, tag, tmp, 0, bytes);
+                self.credit_coll(g, CollKind::Reduce, bytes, arm, bytes, start);
+                return;
             }
         }
         debug_assert_eq!(gr, root);
@@ -655,27 +620,24 @@ impl<'a> Comm<'a> {
             // gr, gr+1, …, gr+have−1 (mod gn) in order.
             let tmp = os.alloc(self.rank(), (gn as u64 * len).max(1));
             os.user_copy(self.proc(), sbuf, soff, tmp, 0, len);
-            let mut have: usize = 1;
-            while have < gn {
-                let cnt = have.min(gn - have);
-                let dst = g.world_rank((gr + gn - have) % gn);
-                let src = g.world_rank((gr + have) % gn);
+            for have in doubling(gn) {
+                let cnt = have.min(gn - have) as u64 * len;
+                let r = shift(gn, gr, gn - have);
                 self.sendrecv(
-                    dst,
+                    g.world_rank(r.dst),
                     tag,
                     tmp,
                     0,
-                    cnt as u64 * len,
-                    Some(src),
+                    cnt,
+                    Some(g.world_rank(r.src)),
                     Some(tag),
                     tmp,
                     have as u64 * len,
-                    cnt as u64 * len,
+                    cnt,
                 );
-                have += cnt;
             }
             for i in 0..gn {
-                let block = (gr + i) % gn;
+                let block = shift(gn, gr, i).dst;
                 os.user_copy(
                     self.proc(),
                     tmp,
@@ -686,11 +648,13 @@ impl<'a> Comm<'a> {
                 );
             }
         } else {
-            let right = g.world_rank((gr + 1) % gn);
-            let left = g.world_rank((gr + gn - 1) % gn);
+            // Ring: each round forwards the block received the round
+            // before.
+            let ring = shift(gn, gr, 1);
+            let (right, left) = (g.world_rank(ring.dst), g.world_rank(ring.src));
             for step in 0..gn - 1 {
-                let send_block = (gr + gn - step) % gn;
-                let recv_block = (gr + gn - step - 1) % gn;
+                let send_block = shift(gn, gr, step).src;
+                let recv_block = shift(gn, gr, step + 1).src;
                 self.sendrecv(
                     right,
                     tag,
@@ -808,16 +772,16 @@ impl<'a> Comm<'a> {
             return;
         };
         let seq = g.next_seq();
-        let gn = g.size();
         let os = self.os();
         let bytes = bytes_of::<u64>(n_elems);
         let tag = gtag(g, seq, 7);
+        let (pred, succ) = chain(g, gr, 0);
         let mine: Vec<u64> = load_raw(os, self.proc(), sbuf, soff, n_elems);
         os.touch_read(self.proc(), sbuf, soff, bytes);
         // Chain algorithm: receive the prefix of 0..gr, combine, forward.
-        let prefix: Option<Vec<u64>> = if gr > 0 {
+        let prefix: Option<Vec<u64>> = if let Some(pred) = pred {
             let tmp = os.alloc(self.rank(), bytes.max(1));
-            self.recv(Some(g.world_rank(gr - 1)), Some(tag), tmp, 0, bytes);
+            self.recv(Some(pred), Some(tag), tmp, 0, bytes);
             let p: Vec<u64> = load_raw(os, self.proc(), tmp, 0, n_elems);
             os.touch_read(self.proc(), tmp, 0, bytes);
             Some(p)
@@ -832,11 +796,11 @@ impl<'a> Comm<'a> {
                 .collect(),
             None => mine.clone(),
         };
-        if gr + 1 < gn {
+        if let Some(succ) = succ {
             let tmp = os.alloc(self.rank(), bytes.max(1));
             store_raw(os, self.proc(), tmp, 0, &inclusive_val);
             os.touch_write(self.proc(), tmp, 0, bytes);
-            self.send(g.world_rank(gr + 1), tag, tmp, 0, bytes);
+            self.send(succ, tag, tmp, 0, bytes);
         }
         if inclusive {
             store_raw(os, self.proc(), rbuf, roff, &inclusive_val);
@@ -906,7 +870,7 @@ impl<'a> Comm<'a> {
         if arm == 1 {
             let rreqs: Vec<_> = (1..gn)
                 .map(|step| {
-                    let src = (gr + gn - step) % gn;
+                    let src = shift(gn, gr, step).src;
                     self.irecv(
                         Some(g.world_rank(src)),
                         Some(tag),
@@ -918,7 +882,7 @@ impl<'a> Comm<'a> {
                 .collect();
             let sreqs: Vec<_> = (1..gn)
                 .map(|step| {
-                    let dst = (gr + step) % gn;
+                    let dst = shift(gn, gr, step).dst;
                     self.isend(g.world_rank(dst), tag, sbuf, soff + dst as u64 * len, len)
                 })
                 .collect();
@@ -926,8 +890,7 @@ impl<'a> Comm<'a> {
             self.waitall(&sreqs);
         } else {
             for step in 1..gn {
-                let dst = (gr + step) % gn;
-                let src = (gr + gn - step) % gn;
+                let Shift { dst, src, .. } = shift(gn, gr, step);
                 self.sendrecv(
                     g.world_rank(dst),
                     tag,
@@ -1001,8 +964,7 @@ impl<'a> Comm<'a> {
         }
         let tag = gtag(g, seq, 6);
         for step in 1..gn {
-            let dst = (gr + step) % gn;
-            let src = (gr + gn - step) % gn;
+            let Shift { dst, src, .. } = shift(gn, gr, step);
             let r = self.irecv(
                 Some(g.world_rank(src)),
                 Some(tag),

@@ -21,8 +21,6 @@ pub(crate) mod eager;
 pub(crate) mod progress;
 pub(crate) mod rendezvous;
 mod state;
-#[cfg(test)]
-mod tests;
 
 pub use state::{MessageInfo, Request};
 
@@ -963,3 +961,6 @@ impl<'a> Comm<'a> {
         )
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -25,8 +25,6 @@ pub mod cma;
 pub mod knem;
 pub mod mem;
 pub mod pipe;
-#[cfg(test)]
-mod proptests;
 
 pub use cma::{CmaWindowId, CMA_MAX_SEGS};
 pub use knem::{Cookie, KnemFlags, KnemMode, StatusId};
@@ -91,3 +89,6 @@ mod integration_tests {
         assert!(a > 0);
     }
 }
+
+#[cfg(test)]
+mod proptests;

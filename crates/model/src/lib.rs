@@ -26,12 +26,15 @@
 //!   `[kind][group class][message class]` grid of two-armed bandits.
 //! * [`Group`] — the subcommunicator rank table both stacks'
 //!   collectives run over.
+//! * [`sched`] — the collective schedules (binomial tree, chain, shift
+//!   rounds) and tag layout both stacks' collectives execute.
 
 pub mod bandit;
 pub mod chunk;
 pub mod coll;
 pub mod ewma;
 pub mod group;
+pub mod sched;
 
 pub use bandit::Bandit;
 pub use chunk::ChunkModel;

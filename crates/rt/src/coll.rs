@@ -1,27 +1,29 @@
-//! Collective operations over the real-thread runtime ([`RtComm`]).
+//! Collective operations over the real-thread runtime ([`RtComm`]): an
+//! executor of [`nemesis_model::sched`], the schedules the simulated
+//! stack (`nemesis_core::coll`) executes in virtual time.
 //!
-//! The algorithms follow `nemesis-core::coll` so the same communication
-//! patterns the paper benchmarks (§4.4) also run on real threads, and —
-//! like the simulated stack — every collective here runs over a
-//! **group** ([`RtGroup`]): a subcommunicator holding a world-rank
-//! translation table. The classic free functions (`barrier`, `bcast`,
-//! …) are retained as wrappers over a transient universe group; the
-//! `*_in` variants take an explicit group and cost O(group), not
-//! O(universe). Ranks outside the group return immediately.
+//! Every collective runs over a **group** ([`RtGroup`]): a
+//! subcommunicator holding a world-rank translation table. The classic
+//! free functions (`barrier`, `bcast`, …) are wrappers over a transient
+//! universe group; the `*_in` variants take an explicit group and cost
+//! O(group), not O(universe). Ranks outside the group return
+//! immediately.
 //!
-//! Every collective has **two algorithms** (arm 0 = the classic fixed
-//! choice, arm 1 = an alternate with a different latency/bandwidth
-//! trade-off):
+//! Arm *k* of a collective is the same algorithm on both stacks:
 //!
-//! * bcast: binomial tree vs a segmented chain (rendezvous-sized
-//!   segments, so each hop forwards one segment while the next arrives
-//!   and no hop can outrun its successor);
-//! * reduce: binomial tree vs linear fold at the root (contributions
-//!   folded in ascending group-rank order, so results are pinned for
-//!   non-commutative-safe operators);
-//! * allgather: gather-to-root + bcast vs a neighbor ring;
-//! * alltoall: shifted-ring exchange vs XOR-pairwise (power-of-two
-//!   groups; the ring is reused otherwise, where the arms coincide).
+//! | kind | arm 0 | arm 1 |
+//! |---|---|---|
+//! | bcast | binomial tree | segmented chain |
+//! | reduce | binomial tree | linear fold at the root, ascending group rank |
+//! | allgather | ring | Bruck, through a staging buffer |
+//! | alltoall | pairwise shifts | scattered shifts |
+//!
+//! Two things differ from the simulator. [`RtComm`] has no non-blocking
+//! operations, so every shift round is one blocking send and receive,
+//! ordered by [`Shift::send_first`]; the scattered alltoall therefore
+//! runs its shifts serially, in round order, and coincides with arm 0.
+//! And chain segments are a fixed `CHAIN_SEG`, not the tuner's
+//! pipeline schedule.
 //!
 //! The arm is chosen per operation by [`RtComm::coll_alg`]: `Fixed`
 //! pins arm 0, `Alternate` pins arm 1, and `Learned` consults the
@@ -32,19 +34,17 @@
 //! operation runs. Every member credits the arm with its own
 //! whole-operation wall-clock elapsed time on completion.
 //!
-//! Tags: collectives use the high tag space. Each operation takes a
-//! per-group sequence number at entry and derives its tags as
-//! `COLL_TAG_BASE + (group id << 18) + (seq << 8) + phase`, which keeps
-//! concurrent collectives on overlapping groups from cross-matching
-//! while per-`(src, tag)` FIFO matching disambiguates repeats.
+//! Tags come from [`sched::tag`](nemesis_model::sched::tag): the
+//! simulator's layout of group id, per-group sequence and phase, so
+//! concurrent collectives on overlapping groups never cross-match while
+//! per-`(src, tag)` FIFO matching disambiguates repeats.
 
 use std::time::Instant;
 
+use nemesis_model::sched::{binomial, chain, doubling, shift, tag as gtag, Shift};
+
 use crate::comm::{RtComm, EAGER_MAX};
 use crate::tuner::RtCollKind;
-
-/// Base of the internal tag space used by collectives.
-pub const COLL_TAG_BASE: i32 = 1 << 24;
 
 /// Per-operation phase codes (disambiguated by the group sequence
 /// number, so a phase only needs to be unique within one operation;
@@ -94,12 +94,6 @@ impl RtCollAlg {
 /// are deterministic functions of that list and the call history, so
 /// all members derive identical collective tags without sharing state.
 pub use nemesis_model::Group as RtGroup;
-
-/// The tag for one phase of one collective operation on a group (the
-/// group's 14-bit sequence counter is cut to this layout's 10 bits).
-fn gtag(g: &RtGroup, seq: i32, phase: i32) -> i32 {
-    COLL_TAG_BASE + ((g.id() & 0x3F) << 18) + ((seq & 0x3FF) << 8) + phase
-}
 
 /// Resolve the algorithm arm for one operation. Under `Learned`, group
 /// rank `root` queries the bandit and the arm is distributed by a
@@ -152,6 +146,32 @@ fn credit(
     }
 }
 
+/// One shift round on blocking operations: send `out` to `r.dst` and
+/// receive `into` from `r.src`, in the order [`Shift::send_first`]
+/// picks, which keeps blocking rendezvous sends from closing a cycle.
+fn exchange(comm: &mut RtComm, g: &RtGroup, r: Shift, tag: i32, out: &[u8], into: &mut [u8]) {
+    let (dst, src) = (g.world_rank(r.dst), g.world_rank(r.src));
+    if r.send_first {
+        comm.send(dst, tag, out);
+        comm.recv(Some(src), Some(tag), into);
+    } else {
+        comm.recv(Some(src), Some(tag), into);
+        comm.send(dst, tag, out);
+    }
+}
+
+/// Block `out` of `all` to read and block `into` to write, both `len`
+/// bytes (`out != into`).
+fn block_pair(all: &mut [u8], len: usize, out: usize, into: usize) -> (&[u8], &mut [u8]) {
+    if out < into {
+        let (lo, hi) = all.split_at_mut(into * len);
+        (&lo[out * len..][..len], &mut hi[..len])
+    } else {
+        let (lo, hi) = all.split_at_mut(out * len);
+        (&hi[..len], &mut lo[into * len..][..len])
+    }
+}
+
 /// Dissemination barrier: ⌈log₂ n⌉ rounds, rank r signals r+2^k.
 pub fn barrier(comm: &mut RtComm) {
     let g = RtGroup::universe(comm.size());
@@ -165,22 +185,10 @@ pub fn barrier_in(comm: &mut RtComm, g: &RtGroup) {
     };
     let seq = g.next_seq();
     let gn = g.size();
-    if gn == 1 {
-        return;
-    }
-    let token = [0u8; 1];
     let mut buf = [0u8; 1];
-    let mut k = 0;
-    let mut dist = 1;
-    while dist < gn {
-        let dst = g.world_rank((gr + dist) % gn);
-        let src = g.world_rank((gr + gn - dist) % gn);
-        let tag = gtag(g, seq, k);
-        // 1-byte tokens go eager, so send-before-recv cannot cycle.
-        comm.send(dst, tag, &token);
-        comm.recv(Some(src), Some(tag), &mut buf);
-        dist <<= 1;
-        k += 1;
+    for (k, dist) in doubling(gn).enumerate() {
+        let tag = gtag(g, seq, k as i32);
+        exchange(comm, g, shift(gn, gr, dist), tag, &[0], &mut buf);
     }
 }
 
@@ -194,27 +202,12 @@ fn bcast_binomial(
     tag: i32,
     data: &mut [u8],
 ) {
-    let gn = g.size();
-    // Rotate so the root is virtual rank 0.
-    let vrank = (gr + gn - root) % gn;
-    let mut mask = 1;
-    // Receive phase: find our parent.
-    while mask < gn {
-        if vrank & mask != 0 {
-            let parent = g.world_rank((vrank - mask + root) % gn);
-            comm.recv(Some(parent), Some(tag), data);
-            break;
-        }
-        mask <<= 1;
+    let t = binomial(g, gr, root);
+    if let Some(parent) = t.parent {
+        comm.recv(Some(parent), Some(tag), data);
     }
-    // Send phase: forward to children below our lowest set bit.
-    mask >>= 1;
-    while mask > 0 {
-        if vrank + mask < gn {
-            let child = g.world_rank((vrank + mask + root) % gn);
-            comm.send(child, tag, data);
-        }
-        mask >>= 1;
+    for &child in t.children.iter().rev() {
+        comm.send(child, tag, data);
     }
 }
 
@@ -229,20 +222,14 @@ const CHAIN_SEG: usize = 4 * EAGER_MAX;
 /// a segment while receiving the next — dependency edges only point
 /// down the chain, so blocking sends cannot cycle.
 fn bcast_chain(comm: &mut RtComm, g: &RtGroup, gr: usize, root: usize, tag: i32, data: &mut [u8]) {
-    let gn = g.size();
-    let pos = (gr + gn - root) % gn;
-    let pred = (pos > 0).then(|| g.world_rank((gr + gn - 1) % gn));
-    let succ = (pos + 1 < gn).then(|| g.world_rank((gr + 1) % gn));
-    let mut off = 0;
-    while off < data.len() {
-        let l = CHAIN_SEG.min(data.len() - off);
+    let (pred, succ) = chain(g, gr, root);
+    for seg in data.chunks_mut(CHAIN_SEG) {
         if let Some(p) = pred {
-            comm.recv(Some(p), Some(tag), &mut data[off..off + l]);
+            comm.recv(Some(p), Some(tag), seg);
         }
         if let Some(s) = succ {
-            comm.send(s, tag, &data[off..off + l]);
+            comm.send(s, tag, seg);
         }
-        off += l;
     }
 }
 
@@ -359,22 +346,16 @@ pub fn reduce_in(comm: &mut RtComm, g: &RtGroup, root: usize, data: &mut [u8], o
             comm.send(g.world_rank(root), tag, data);
         }
     } else {
-        let vrank = (gr + gn - root) % gn;
+        // Binomial tree: fold the children in, then pass the
+        // accumulator to the parent.
+        let t = binomial(g, gr, root);
         let mut tmp = vec![0u8; data.len()];
-        let mut mask = 1;
-        while mask < gn {
-            if vrank & mask != 0 {
-                let parent = g.world_rank((vrank - mask + root) % gn);
-                comm.send(parent, tag, data);
-                break;
-            }
-            let peer = vrank | mask;
-            if peer < gn {
-                let child = g.world_rank((peer + root) % gn);
-                comm.recv(Some(child), Some(tag), &mut tmp);
-                op.combine(data, &tmp);
-            }
-            mask <<= 1;
+        for &child in &t.children {
+            comm.recv(Some(child), Some(tag), &mut tmp);
+            op.combine(data, &tmp);
+        }
+        if let Some(parent) = t.parent {
+            comm.send(parent, tag, data);
         }
     }
     credit(
@@ -387,7 +368,6 @@ pub fn reduce_in(comm: &mut RtComm, g: &RtGroup, root: usize, data: &mut [u8], o
         start,
     );
 }
-
 /// Allreduce = reduce to 0 + bcast from 0 (the pattern MPICH2 uses for
 /// large payloads when reduce-scatter does not apply).
 pub fn allreduce(comm: &mut RtComm, data: &mut [u8], op: &dyn ReduceOp) {
@@ -491,36 +471,31 @@ pub fn allgather_in(comm: &mut RtComm, g: &RtGroup, mine: &[u8], all: &mut [u8])
     }
     let start = Instant::now();
     let arm = pick_arm(comm, g, RtCollKind::Allgather, len, seq, 0, gr);
+    let tag = gtag(g, seq, PHASE_ALLGATHER);
     if arm == 1 {
-        // Neighbor ring: in round k every member forwards the block it
-        // received last round. The last group rank receives first and
-        // everyone else sends first, so the blocking-rendezvous chain
-        // unwinds from the end of the ring.
-        let tag = gtag(g, seq, PHASE_ALLGATHER);
-        let right = g.world_rank((gr + 1) % gn);
-        let left = g.world_rank((gr + gn - 1) % gn);
-        for k in 0..gn - 1 {
-            let sb = (gr + gn - k) % gn;
-            let rb = (gr + gn - k - 1) % gn;
-            if gr + 1 < gn {
-                comm.send(right, tag, &all[sb * len..(sb + 1) * len]);
-                comm.recv(Some(left), Some(tag), &mut all[rb * len..(rb + 1) * len]);
-            } else {
-                comm.recv(Some(left), Some(tag), &mut all[rb * len..(rb + 1) * len]);
-                comm.send(right, tag, &all[sb * len..(sb + 1) * len]);
-            }
+        // Bruck: the staging buffer holds blocks gr, gr+1, … in order,
+        // each round appends the run the source holds, and one pass
+        // rotates the blocks into place.
+        let mut staging = vec![0u8; gn * len];
+        staging[..len].copy_from_slice(mine);
+        for have in doubling(gn) {
+            let cnt = have.min(gn - have) * len;
+            let (held, fresh) = staging.split_at_mut(have * len);
+            let r = shift(gn, gr, gn - have);
+            exchange(comm, g, r, tag, &held[..cnt], &mut fresh[..cnt]);
+        }
+        for (i, block) in staging.chunks_exact(len).enumerate() {
+            let b = shift(gn, gr, i).dst;
+            all[b * len..(b + 1) * len].copy_from_slice(block);
         }
     } else {
-        // Gather to group rank 0 + bcast (the nested operations take
-        // their own sequence numbers and arm decisions).
-        if gr == 0 {
-            let (head, _) = all.split_at_mut(gn * len);
-            gather_in(comm, g, 0, mine, Some(head));
-        } else {
-            gather_in(comm, g, 0, mine, None);
+        // Ring: each round forwards the block received the round before.
+        let ring = shift(gn, gr, 1);
+        for k in 0..gn - 1 {
+            let (sb, rb) = (shift(gn, gr, k).src, shift(gn, gr, k + 1).src);
+            let (out, into) = block_pair(all, len, sb, rb);
+            exchange(comm, g, ring, tag, out, into);
         }
-        let (head, _) = all.split_at_mut(gn * len);
-        bcast_in(comm, g, 0, head);
     }
     credit(comm, g, RtCollKind::Allgather, len, arm, gn * len, start);
 }
@@ -532,7 +507,10 @@ pub fn alltoall(comm: &mut RtComm, send: &[u8], recv: &mut [u8], len: usize) {
     alltoall_in(comm, &g, send, recv, len);
 }
 
-/// Alltoall over a group; block indices are group ranks.
+/// Alltoall over a group; block indices are group ranks. Both arms run
+/// the shifts `1..|g|` one after the other: the pairwise arm by
+/// definition, the scattered one because blocking operations cannot
+/// overlap them.
 pub fn alltoall_in(comm: &mut RtComm, g: &RtGroup, send: &[u8], recv: &mut [u8], len: usize) {
     let Some(gr) = g.group_rank(comm.rank()) else {
         return;
@@ -550,46 +528,10 @@ pub fn alltoall_in(comm: &mut RtComm, g: &RtGroup, send: &[u8], recv: &mut [u8],
     let start = Instant::now();
     let arm = pick_arm(comm, g, RtCollKind::Alltoall, len, seq, 0, gr);
     let tag = gtag(g, seq, PHASE_ALLTOALL);
-    if arm == 1 && gn.is_power_of_two() {
-        // XOR pairing: in round k, group rank r exchanges with r ^ k.
-        // The pairing is symmetric; the lower rank sends first.
-        for k in 1..gn {
-            let peer = gr ^ k;
-            let pw = g.world_rank(peer);
-            if gr < peer {
-                comm.send(pw, tag, &send[peer * len..(peer + 1) * len]);
-                comm.recv(Some(pw), Some(tag), &mut recv[peer * len..(peer + 1) * len]);
-            } else {
-                comm.recv(Some(pw), Some(tag), &mut recv[peer * len..(peer + 1) * len]);
-                comm.send(pw, tag, &send[peer * len..(peer + 1) * len]);
-            }
-        }
-    } else {
-        // Shifted ring: in round k, send to gr+k and receive from gr-k.
-        // A member sends first iff its destination does not wrap, which
-        // puts both orderings in every +k cycle and keeps the blocking
-        // rendezvous from cycling for any group size.
-        for k in 1..gn {
-            let dst_g = (gr + k) % gn;
-            let src_g = (gr + gn - k) % gn;
-            let dst = g.world_rank(dst_g);
-            let src = g.world_rank(src_g);
-            if gr + k < gn {
-                comm.send(dst, tag, &send[dst_g * len..(dst_g + 1) * len]);
-                comm.recv(
-                    Some(src),
-                    Some(tag),
-                    &mut recv[src_g * len..(src_g + 1) * len],
-                );
-            } else {
-                comm.recv(
-                    Some(src),
-                    Some(tag),
-                    &mut recv[src_g * len..(src_g + 1) * len],
-                );
-                comm.send(dst, tag, &send[dst_g * len..(dst_g + 1) * len]);
-            }
-        }
+    for step in 1..gn {
+        let r = shift(gn, gr, step);
+        let (out, into) = (&send[r.dst * len..][..len], &mut recv[r.src * len..][..len]);
+        exchange(comm, g, r, tag, out, into);
     }
     credit(comm, g, RtCollKind::Alltoall, len, arm, gn * len, start);
 }
@@ -765,11 +707,12 @@ mod tests {
         }
     }
 
-    /// Regression: with eager-sized chain segments a hop that ran
-    /// ahead parked every pooled cell in its successor's queue and the
-    /// successor spun forever waiting for one to forward with. A
-    /// two-cell pool made that near-certain; the chain must not depend
-    /// on the pool's depth.
+    /// Regression: when eager payloads shared one cell pool, a chain
+    /// hop that ran ahead with eager-sized segments parked every cell
+    /// in its successor's unexpected set, and the successor spun
+    /// forever waiting for one to forward with. `cells: 2` now makes
+    /// each per-pair eager ring two cells deep; the chain must not
+    /// depend on that depth either.
     #[test]
     fn chain_bcast_survives_a_starved_cell_pool() {
         let cfg = RtConfig {
@@ -846,8 +789,10 @@ mod tests {
     #[test]
     fn alternate_arms_match_fixed() {
         // Every collective's arm 1 must agree byte-for-byte with arm 0.
+        // n = 5 gives Bruck a partial last round; at n = 6 the shifts
+        // by 2, 3 and 4 split into several cycles.
         for alg in [RtCollAlg::Alternate, RtCollAlg::Learned] {
-            for n in [3usize, 4] {
+            for n in [3usize, 4, 5, 6] {
                 run_rt_cfg(n, RtLmt::Direct, alt_cfg(alg), |comm| {
                     let me = comm.rank();
                     let n = comm.size();

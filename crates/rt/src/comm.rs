@@ -69,8 +69,9 @@ pub struct RtConfig {
     pub coll_alg: crate::coll::RtCollAlg,
     /// Per-pair learned state. `run_rt_cfg` creates one automatically
     /// when the schedule is `Learned`; pass an explicit tuner to keep
-    /// learned state across runs (the report binary does, to measure a
-    /// converged schedule).
+    /// learned state across runs (to measure a converged schedule, or
+    /// to read its cells afterwards, as `learned_mode_credits_the_bandit`
+    /// does).
     pub tuner: Option<Arc<RtTuner>>,
     /// Real-clock cap on how long a rendezvous sender waits for the
     /// receiver's completion — the rt mirror of the simulated engine's

@@ -43,8 +43,9 @@
 //!   scatter, allgather, alltoall) over [`comm`], so the paper's §4.4
 //!   patterns also run on real threads. Every collective runs over an
 //!   [`RtGroup`](coll::RtGroup) subcommunicator, with two algorithms
-//!   per operation and a learned per-(group size, message class)
-//!   algorithm choice when the tuner is attached.
+//!   per operation — the schedules of `nemesis_model::sched`, the same
+//!   two the simulated stack runs — and a learned per-(group size,
+//!   message class) algorithm choice when the tuner is attached.
 
 pub mod backoff;
 pub mod cellpool;
