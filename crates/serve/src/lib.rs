@@ -26,6 +26,13 @@
 //!   injected from the same `NEMESIS_FAULT_PLAN` grammar the simulated
 //!   stack uses (`stall@…:rank=…,for=…`), reinterpreting the plan's
 //!   virtual picoseconds as wall-clock nanoseconds.
+//! * **On-time waits** — every wait here ends at its deadline, not a
+//!   sleep's overshoot after it: a client's idle pacing, a stall
+//!   window and the worker's synthetic service time sleep only up to
+//!   `GUARD_NS` (300 µs) before the deadline, then poll or spin to it.
+//!   A service time below the guard is spun; a longer one sleeps, then
+//!   spins. [`ideal_latencies_ns`] gives the latencies a perfect
+//!   server would show on the same arrivals.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -36,9 +43,11 @@ use nemesis_rt::{run_rt_cfg, RtComm, RtConfig, RtLmt};
 
 pub mod health;
 pub mod hist;
+mod ideal;
 
 pub use health::{HealthTable, WorkerState};
 pub use hist::LatencyHistogram;
+pub use ideal::ideal_latencies_ns;
 
 /// Request tag (client → worker).
 const TAG_REQ: i32 = 101;
@@ -51,6 +60,53 @@ const TAG_CDONE: i32 = 104;
 
 /// Per-worker batch cap for one admission round.
 const SUBMIT_BATCH: usize = 32;
+
+/// The last stretch before a deadline that no wait sleeps into. On a
+/// 2-vCPU host a `thread::sleep` of up to 1 ms ran long by up to 204 µs
+/// at p99 (timer slack plus the vCPU wake-up), so a sleep that stops
+/// here still wakes before the deadline; a poll or spin covers the rest.
+/// It is also the client's idle threshold: a gap shorter than this is
+/// never slept at all.
+const GUARD_NS: u64 = 300_000;
+/// Longest single sleep, so a sleeping rank still checks for work and
+/// shutdown every millisecond.
+const MAX_NAP_NS: u64 = 1_000_000;
+
+/// The deadline-wait rule every wait in this crate follows: how long a
+/// waiter at `now` may sleep toward `deadline` (ns on one axis). It
+/// never sleeps into the last `GUARD_NS` before the deadline, nor for
+/// more than `MAX_NAP_NS` at a time; 0 means poll or spin instead.
+fn nap_ns(now: u64, deadline: u64) -> u64 {
+    deadline
+        .saturating_sub(now)
+        .saturating_sub(GUARD_NS)
+        .min(MAX_NAP_NS)
+}
+
+/// One step of a polling wait toward `deadline`: a nap under
+/// [`nap_ns`]'s rule, or a yield inside the guard.
+fn nap_or_yield(now: u64, deadline: u64) {
+    match nap_ns(now, deadline) {
+        0 => std::thread::yield_now(),
+        nap => std::thread::sleep(Duration::from_nanos(nap)),
+    }
+}
+
+/// Block until `deadline` ns past `epoch` under [`nap_ns`]'s rule:
+/// sleep while the deadline lies beyond the guard, then spin. Never
+/// returns before the deadline.
+fn wait_until(epoch: Instant, deadline: u64) {
+    loop {
+        let now = epoch.elapsed().as_nanos() as u64;
+        if now >= deadline {
+            return;
+        }
+        match nap_ns(now, deadline) {
+            0 => std::hint::spin_loop(),
+            nap => std::thread::sleep(Duration::from_nanos(nap)),
+        }
+    }
+}
 
 /// Service configuration. Ranks `0..workers` are workers, ranks
 /// `workers..workers+clients` are clients.
@@ -66,7 +122,9 @@ pub struct ServeConfig {
     /// Request payload bytes (clamped to `10..=INLINE_MAX`; the first
     /// 10 carry the request id and the client rank).
     pub payload: usize,
-    /// Synthetic per-request service time at the worker (0 = pure echo).
+    /// Synthetic per-request service time at the worker (0 = pure echo),
+    /// honoured to the deadline: below `GUARD_NS` the worker spins;
+    /// above it, it sleeps to the guard and then spins.
     pub service_ns: u64,
     /// Receive-queue capacity per rank (the admission bound).
     pub queue_capacity: usize,
@@ -256,9 +314,8 @@ fn worker_loop(comm: &mut RtComm, cfg: &ServeConfig, stalls: &[(u64, u64)]) {
             if comm.try_recv(None, Some(TAG_STOP), &mut tiny).is_some() {
                 return;
             }
-            std::thread::sleep(Duration::from_nanos(
-                (until.saturating_sub(now)).min(1_000_000),
-            ));
+            // The window ends at `until`, not a sleep's overshoot later.
+            nap_or_yield(now, until);
             continue;
         }
         if comm.try_recv(None, Some(TAG_STOP), &mut tiny).is_some() {
@@ -273,15 +330,7 @@ fn worker_loop(comm: &mut RtComm, cfg: &ServeConfig, stalls: &[(u64, u64)]) {
             served = true;
             let client = u16::from_le_bytes(buf[8..10].try_into().unwrap()) as usize;
             if cfg.service_ns > 0 {
-                let t0 = Instant::now();
-                let d = Duration::from_nanos(cfg.service_ns);
-                if cfg.service_ns > 50_000 {
-                    std::thread::sleep(d);
-                } else {
-                    while t0.elapsed() < d {
-                        std::hint::spin_loop();
-                    }
-                }
+                wait_until(epoch, epoch.elapsed().as_nanos() as u64 + cfg.service_ns);
             }
             // Echo, stamping ourselves as the responder (the client's
             // health table credits whoever actually answered).
@@ -322,6 +371,12 @@ fn client_loop(comm: &mut RtComm, cfg: &ServeConfig, arrivals: &[u64]) -> Client
     let mut req_seq = 0u64;
     let mut next_timeout_scan = 0u64;
     let mut buf = [0u8; INLINE_MAX];
+    // One admission round's payloads, reused every round: each carries
+    // this client's rank once and gets its request id per round.
+    let mut payloads = [[0u8; INLINE_MAX]; SUBMIT_BATCH];
+    for p in &mut payloads {
+        p[8..10].copy_from_slice(&(me as u16).to_le_bytes());
+    }
     let deadline = arrivals.last().copied().unwrap_or(0) + cfg.drain_timeout_ns;
     loop {
         let now = epoch.elapsed().as_nanos() as u64;
@@ -383,18 +438,13 @@ fn client_loop(comm: &mut RtComm, cfg: &ServeConfig, arrivals: &[u64]) -> Client
             if backlog[w].is_empty() || next_try[w] > now {
                 continue;
             }
-            let ids: Vec<u64> = backlog[w]
-                .iter()
-                .take(SUBMIT_BATCH)
-                .map(|e| e.req_id)
-                .collect();
-            let mut payloads = vec![[0u8; INLINE_MAX]; ids.len()];
-            for (p, &rid) in payloads.iter_mut().zip(&ids) {
-                p[..8].copy_from_slice(&rid.to_le_bytes());
-                p[8..10].copy_from_slice(&(me as u16).to_le_bytes());
+            let mut batch = 0;
+            for (p, e) in payloads.iter_mut().zip(&backlog[w]) {
+                p[..8].copy_from_slice(&e.req_id.to_le_bytes());
+                batch += 1;
             }
-            let refs: Vec<&[u8]> = payloads.iter().map(|p| &p[..payload_len]).collect();
-            let admitted = comm.try_send_batch(w, TAG_REQ, &refs);
+            let refs: [&[u8]; SUBMIT_BATCH] = std::array::from_fn(|i| &payloads[i][..payload_len]);
+            let admitted = comm.try_send_batch(w, TAG_REQ, &refs[..batch]);
             for _ in 0..admitted {
                 let e = backlog[w].pop_front().unwrap();
                 backlog_len -= 1;
@@ -404,7 +454,7 @@ fn client_loop(comm: &mut RtComm, cfg: &ServeConfig, arrivals: &[u64]) -> Client
                 }
                 progressed = true;
             }
-            if admitted < refs.len() {
+            if admitted < batch {
                 // Queue full at the head of line: capped-backoff retry,
                 // then shed — counted, never silent.
                 stats.retry_attempts += 1;
@@ -478,8 +528,11 @@ fn client_loop(comm: &mut RtComm, cfg: &ServeConfig, arrivals: &[u64]) -> Client
             } else {
                 deadline
             };
-            if pending.is_empty() && backlog_len == 0 && next_due > now + 300_000 {
-                std::thread::sleep(Duration::from_nanos((next_due - now).min(1_000_000)));
+            // The nap stops `GUARD_NS` short of the next arrival, so a
+            // burst's first request goes out on time, not a sleep's
+            // overshoot late.
+            if pending.is_empty() && backlog_len == 0 {
+                nap_or_yield(now, next_due);
             } else {
                 std::thread::yield_now();
             }
@@ -574,6 +627,59 @@ mod tests {
     fn quick_cfg(rate_on: f64, seed: u64) -> ServeConfig {
         // ~100 ms trace: 1000 steps of 100 µs.
         ServeConfig::with_mmpp(2, 2, 1000, 100_000, 0.2, 0.3, rate_on, seed)
+    }
+
+    #[test]
+    fn naps_never_reach_into_the_guard() {
+        // Past, at and inside the guard: no sleep at all.
+        assert_eq!(nap_ns(5_000, 1_000), 0);
+        assert_eq!(nap_ns(5_000, 5_000), 0);
+        assert_eq!(nap_ns(0, GUARD_NS - 1), 0);
+        assert_eq!(nap_ns(0, GUARD_NS), 0);
+        // Beyond it: up to the guard, one `MAX_NAP_NS` at a time.
+        assert_eq!(nap_ns(1_000, 1_000 + GUARD_NS + 400_000), 400_000);
+        assert_eq!(nap_ns(0, GUARD_NS + 5 * MAX_NAP_NS), MAX_NAP_NS);
+        assert_eq!(nap_ns(0, u64::MAX), MAX_NAP_NS);
+    }
+
+    #[test]
+    fn deadline_waits_never_end_early() {
+        let epoch = Instant::now();
+        std::thread::sleep(Duration::from_millis(1));
+        // Already past.
+        wait_until(epoch, 0);
+        // Now, inside the guard, at its edge, beyond it, and beyond
+        // several naps.
+        for ahead in [0, 50_000, GUARD_NS, GUARD_NS + 200_000, 2_500_000] {
+            let deadline = epoch.elapsed().as_nanos() as u64 + ahead;
+            wait_until(epoch, deadline);
+            let now = epoch.elapsed().as_nanos() as u64;
+            assert!(
+                now >= deadline,
+                "{ahead} ns wait ended {} ns early",
+                deadline - now
+            );
+        }
+    }
+
+    #[test]
+    fn service_time_is_honoured_to_the_deadline() {
+        // One worker, one client, a request every 2 ms: nothing queues,
+        // so every latency is the 100 µs service plus transport. The
+        // mean, because a percentile reads a bucket's lower edge.
+        let cfg = ServeConfig {
+            workers: 1,
+            clients: 1,
+            arrivals: vec![(1..=40).map(|i| i * 2_000_000).collect()],
+            span_ns: 82_000_000,
+            service_ns: 100_000,
+            ..ServeConfig::default()
+        };
+        let r = run_service(&cfg);
+        assert_eq!(r.offered, 40);
+        assert_eq!(r.completed, r.offered, "books balance");
+        assert_eq!(r.shed + r.abandoned, 0);
+        assert!(r.hist.mean() >= 100_000, "mean {} ns", r.hist.mean());
     }
 
     #[test]
