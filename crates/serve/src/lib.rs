@@ -17,7 +17,8 @@
 //! * **Bounded backpressure** — a rejected head-of-line request retries
 //!   under capped exponential backoff up to `retry_limit` attempts and
 //!   is then *shed*: counted in [`ServeReport::shed`], its latency slot
-//!   abandoned. Nothing is ever dropped silently.
+//!   abandoned. A response a worker cannot deliver is counted in
+//!   [`ServeReport::dropped`]. Nothing is ever dropped silently.
 //! * **Graceful degradation** — a per-client [`HealthTable`] mirrors
 //!   the simulated transport's peer-health machine (Healthy → Suspect →
 //!   Quarantined → Probing); requests outstanding on a worker that
@@ -31,20 +32,27 @@
 //!   window and the worker's synthetic service time sleep only up to
 //!   `GUARD_NS` (300 µs) before the deadline, then poll or spin to it.
 //!   A service time below the guard is spun; a longer one sleeps, then
-//!   spins. [`ideal_latencies_ns`] gives the latencies a perfect
-//!   server would show on the same arrivals.
+//!   spins. Every spin runs on one spin clock: the TSC where the
+//!   kernel's monotonic clock already is the TSC, with a ratio
+//!   calibrated once against `Instant` and padded so that no spin ends
+//!   before its `Instant` deadline, else `Instant` itself.
+//!   [`ideal_latencies_ns`] gives the latencies a perfect server would
+//!   show on the same arrivals.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use nemesis_core::fault::{FaultKind, FaultPlan};
 use nemesis_rt::comm::INLINE_MAX;
 use nemesis_rt::{run_rt_cfg, RtComm, RtConfig, RtLmt};
 
+mod clock;
 pub mod health;
 pub mod hist;
 mod ideal;
 
+use clock::SpinClock;
 pub use health::{HealthTable, WorkerState};
 pub use hist::LatencyHistogram;
 pub use ideal::ideal_latencies_ns;
@@ -93,16 +101,13 @@ fn nap_or_yield(now: u64, deadline: u64) {
 }
 
 /// Block until `deadline` ns past `epoch` under [`nap_ns`]'s rule:
-/// sleep while the deadline lies beyond the guard, then spin. Never
-/// returns before the deadline.
+/// sleep while the deadline lies beyond the guard, then spin the rest on
+/// the [`SpinClock`]. Never returns before the deadline.
 fn wait_until(epoch: Instant, deadline: u64) {
     loop {
         let now = epoch.elapsed().as_nanos() as u64;
-        if now >= deadline {
-            return;
-        }
         match nap_ns(now, deadline) {
-            0 => std::hint::spin_loop(),
+            0 => return SpinClock::get().spin_for(deadline.saturating_sub(now)),
             nap => std::thread::sleep(Duration::from_nanos(nap)),
         }
     }
@@ -221,6 +226,9 @@ pub struct ServeReport {
     pub quarantines: u64,
     /// Head-of-line `QueueFull` retry attempts.
     pub retry_attempts: u64,
+    /// Responses a worker dropped after its client's queue stayed full
+    /// for a thousand tries; the client's timeout re-sends each request.
+    pub dropped: u64,
     /// Nominal trace span (offered-rate denominator), ns.
     pub span_ns: u64,
     /// Longest client wall-clock, arrival replay + drain, ns.
@@ -300,8 +308,15 @@ fn stall_windows_ns(plan: &FaultPlan, rank: usize) -> Vec<(u64, u64)> {
         .collect()
 }
 
-fn worker_loop(comm: &mut RtComm, cfg: &ServeConfig, stalls: &[(u64, u64)]) {
+/// Serve requests until STOP; returns how many responses it dropped.
+fn worker_loop(
+    comm: &mut RtComm,
+    cfg: &ServeConfig,
+    stalls: &[(u64, u64)],
+    clock: SpinClock,
+) -> u64 {
     let me = comm.rank();
+    let mut dropped = 0;
     let epoch = Instant::now();
     let mut buf = [0u8; INLINE_MAX];
     let mut tiny = [0u8; 8];
@@ -312,14 +327,14 @@ fn worker_loop(comm: &mut RtComm, cfg: &ServeConfig, stalls: &[(u64, u64)]) {
             // 1 ms slices — teardown must terminate even a forever-stall
             // (the real-world analogue is the process being killed).
             if comm.try_recv(None, Some(TAG_STOP), &mut tiny).is_some() {
-                return;
+                return dropped;
             }
             // The window ends at `until`, not a sleep's overshoot later.
             nap_or_yield(now, until);
             continue;
         }
         if comm.try_recv(None, Some(TAG_STOP), &mut tiny).is_some() {
-            return;
+            return dropped;
         }
         let mut served = false;
         // Bounded batch between stall-window checks.
@@ -329,8 +344,12 @@ fn worker_loop(comm: &mut RtComm, cfg: &ServeConfig, stalls: &[(u64, u64)]) {
             };
             served = true;
             let client = u16::from_le_bytes(buf[8..10].try_into().unwrap()) as usize;
-            if cfg.service_ns > 0 {
-                wait_until(epoch, epoch.elapsed().as_nanos() as u64 + cfg.service_ns);
+            match cfg.service_ns {
+                0 => {}
+                // Nothing to sleep: spin from the receive, with no
+                // `Instant` read to set a deadline.
+                ns if ns <= GUARD_NS => clock.spin_for(ns),
+                ns => wait_until(epoch, epoch.elapsed().as_nanos() as u64 + ns),
             }
             // Echo, stamping ourselves as the responder (the client's
             // health table credits whoever actually answered).
@@ -339,9 +358,11 @@ fn worker_loop(comm: &mut RtComm, cfg: &ServeConfig, stalls: &[(u64, u64)]) {
             while comm.try_send(client, TAG_RESP, &buf[..len]).is_err() {
                 // The client drains constantly; a full response queue
                 // means it is gone or wedged. Bounded patience, then
-                // drop — the client's timeout machinery owns recovery.
+                // drop, counted — the client's timeout machinery owns
+                // recovery.
                 tries += 1;
                 if tries > 1000 {
+                    dropped += 1;
                     break;
                 }
                 std::thread::yield_now();
@@ -560,6 +581,9 @@ pub fn run_service(cfg: &ServeConfig) -> ServeReport {
         ..RtConfig::default()
     };
     let stats: parking_lot::Mutex<Vec<ClientStats>> = parking_lot::Mutex::new(Vec::new());
+    let dropped = AtomicU64::new(0);
+    // Calibrated here, before any rank starts, not on a first request.
+    let clock = SpinClock::get();
     let n = cfg.workers + cfg.clients;
     run_rt_cfg(n, RtLmt::Direct, rt, |comm| {
         let r = comm.rank();
@@ -568,7 +592,7 @@ pub fn run_service(cfg: &ServeConfig) -> ServeReport {
                 .as_ref()
                 .map(|p| stall_windows_ns(p, r))
                 .unwrap_or_default();
-            worker_loop(comm, cfg, &stalls);
+            dropped.fetch_add(worker_loop(comm, cfg, &stalls, clock), Ordering::Relaxed);
         } else {
             let i = r - cfg.workers;
             let s = client_loop(comm, cfg, &cfg.arrivals[i]);
@@ -596,6 +620,7 @@ pub fn run_service(cfg: &ServeConfig) -> ServeReport {
         abandoned: 0,
         quarantines: 0,
         retry_attempts: 0,
+        dropped: dropped.into_inner(),
         span_ns: cfg.span_ns.max(
             cfg.arrivals
                 .iter()
@@ -643,6 +668,24 @@ mod tests {
     }
 
     #[test]
+    fn stall_windows_are_this_ranks_stalls_in_ns() {
+        let plan = FaultPlan::parse(
+            "stall@1500ps:rank=0,for=2500ps; stall@2ms:rank=1,for=10ms; dup-rts@1us; \
+             slow-rail@1ms:rail=shm,extra=1ms,for=5ms; stall@30ms:rank=0,for=forever",
+        )
+        .unwrap();
+        // Virtual ps become ns (rounded down), and a stall `for=forever`
+        // never ends; the other rank's stall and the other kinds are not
+        // this rank's windows.
+        assert_eq!(
+            stall_windows_ns(&plan, 0),
+            vec![(1, 4), (30_000_000, u64::MAX)]
+        );
+        assert_eq!(stall_windows_ns(&plan, 1), vec![(2_000_000, 12_000_000)]);
+        assert_eq!(stall_windows_ns(&plan, 2), vec![]);
+    }
+
+    #[test]
     fn deadline_waits_never_end_early() {
         let epoch = Instant::now();
         std::thread::sleep(Duration::from_millis(1));
@@ -679,6 +722,7 @@ mod tests {
         assert_eq!(r.offered, 40);
         assert_eq!(r.completed, r.offered, "books balance");
         assert_eq!(r.shed + r.abandoned, 0);
+        assert_eq!(r.dropped, 0);
         assert!(r.hist.mean() >= 100_000, "mean {} ns", r.hist.mean());
     }
 
@@ -688,7 +732,7 @@ mod tests {
         let r = run_service(&cfg);
         assert!(r.offered > 0);
         assert_eq!(r.completed, r.offered, "low load must not lose requests");
-        assert_eq!(r.shed + r.abandoned, 0);
+        assert_eq!(r.shed + r.abandoned + r.dropped, 0);
         assert_eq!(r.hist.count(), r.completed);
         assert!(r.hist.percentile(0.5) > 0);
         assert!(r.hist.percentile(0.999) >= r.hist.percentile(0.5));

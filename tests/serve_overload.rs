@@ -157,4 +157,7 @@ fn serving_facade_overload_books_balance() {
     );
     assert!(r.shed > 0, "saturation must surface as shed, not silence");
     assert_eq!(r.hist.count(), r.completed);
+    // Reported, not bounded: a worker drops a response only when its
+    // client's queue stays full for a thousand tries.
+    eprintln!("responses dropped by the worker: {}", r.dropped);
 }
