@@ -8,9 +8,7 @@
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
+use nemesis_model::rng::StdRng;
 use nemesis_sim::{run_simulation, Machine, MachineConfig, Proc};
 
 use crate::knem::KnemFlags;

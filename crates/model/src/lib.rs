@@ -28,12 +28,15 @@
 //!   collectives run over.
 //! * [`sched`] — the collective schedules (binomial tree, chain, shift
 //!   rounds) and tag layout both stacks' collectives execute.
+//! * [`rng`] — the seeded SplitMix64 generator behind the workloads'
+//!   streams and the seeded tests; no model here draws from it.
 
 pub mod bandit;
 pub mod chunk;
 pub mod coll;
 pub mod ewma;
 pub mod group;
+pub mod rng;
 pub mod sched;
 
 pub use bandit::Bandit;

@@ -27,6 +27,12 @@
 //! consumer's line, and the producer keeps a ring credit the same way
 //! as its slot credit. No per-payload flag, no CAS.
 //!
+//! A push ends by demoting the slot lines it wrote (`demote`): they
+//! leave the producer's private cache for the shared last-level cache,
+//! where the consumer's next read finds them, instead of reaching it as
+//! a snoop of a Modified line in the producer's cache. The eager ring's
+//! bytes stay where the copy left them.
+//!
 //! Slots and ring are zeroed memory that becomes resident only where a
 //! pair writes it (see `Lines`).
 
@@ -76,6 +82,39 @@ struct Slot {
     stamp: AtomicUsize,
     hdr: UnsafeCell<Header>,
     data: UnsafeCell<[u8; INLINE_MAX]>,
+}
+
+/// Slot lines a push of a `kind` message of `len` bytes writes, counted
+/// from the slot's start: the stamp and header line, plus whatever lines
+/// an inline payload reaches. An eager payload lives in the ring and a
+/// rendezvous one in the sender's buffer, so neither adds a line.
+#[inline]
+fn lines_written(kind: Kind, len: usize) -> usize {
+    let header = std::mem::offset_of!(Slot, data);
+    let end = match kind {
+        Kind::Inline => header + len,
+        Kind::Eager | Kind::Rndv => header,
+    };
+    end.div_ceil(LINE)
+}
+
+/// Hint that the line holding `p` move from this core's private caches
+/// to the shared last-level cache (CLDEMOTE), so that another core's
+/// next read of it hits there. Changes no data and orders nothing; the
+/// `asm!` block is not `nomem`, so the compiler keeps it after the
+/// stores it follows. Compiles to nothing off x86_64.
+#[inline(always)]
+fn demote(p: *const u8) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: CLDEMOTE reads only its address register and changes no
+    // architectural state, memory included: it is a hint, it cannot
+    // fault, and on a CPU without it the encoding (0F 1C /0) executes as
+    // a NOP.
+    unsafe {
+        std::arch::asm!("cldemote [{0}]", in(reg) p, options(nostack, preserves_flags));
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
 }
 
 /// Zeroed memory starting on a cache line. It is allocated at alignment
@@ -285,6 +324,11 @@ impl LaneTx {
             *slot.hdr.get() = hdr;
         }
         slot.stamp.store(sent + 1, Ordering::Release);
+        let first: *const u8 = (slot as *const Slot).cast();
+        for line in 0..lines_written(hdr.kind, hdr.len) {
+            // `lines_written` stays inside the slot: no pointer leaves it.
+            demote(first.wrapping_add(line * LINE));
+        }
         self.sent.set(sent + 1);
         self.tail.set(self.lane.next(tail));
         true
@@ -419,6 +463,30 @@ mod tests {
         assert_eq!(offset_of!(Slot, stamp), 0);
         assert_eq!(offset_of!(Slot, data), 40);
         assert_eq!(size_of::<Slot>(), 320);
+    }
+
+    #[test]
+    fn a_push_demotes_the_slot_lines_it_wrote_and_never_a_ring_byte() {
+        // Header-only kinds: the stamp and header line, whatever `len`
+        // says the ring or the sender's buffer holds.
+        for len in [0, 1, 24, 25, 88, 256, 4 << 10, 1 << 30] {
+            assert_eq!(lines_written(Kind::Eager, len), 1, "eager {len} B");
+            assert_eq!(lines_written(Kind::Rndv, len), 1, "rndv {len} B");
+        }
+        for len in 0..=INLINE_MAX {
+            let want = match len {
+                0..=24 => 1,
+                25..=88 => 2,
+                89..=152 => 3,
+                153..=216 => 4,
+                _ => 5,
+            };
+            assert_eq!(lines_written(Kind::Inline, len), want, "inline {len} B");
+            assert!(
+                want * LINE <= std::mem::size_of::<Slot>(),
+                "inside the slot"
+            );
+        }
     }
 
     #[test]

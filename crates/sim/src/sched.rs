@@ -3,10 +3,10 @@
 //! Every simulated process is an OS thread, but **exactly one runs at any
 //! instant**: whenever a process yields, the scheduler hands control to
 //! the runnable process with the smallest virtual clock (ties broken by
-//! pid). Simulated time only advances through explicit [`Proc::advance`]
-//! calls, so a simulation is a deterministic function of its inputs —
-//! repeated runs produce bit-identical timings and counters regardless of
-//! host scheduling.
+//! pid), waking that one thread alone. Simulated time only advances
+//! through explicit [`Proc::advance`] calls, so a simulation is a
+//! deterministic function of its inputs — repeated runs produce
+//! bit-identical timings and counters regardless of host scheduling.
 //!
 //! Nemesis is a *polling* communication subsystem (§3.4: "the user space
 //! NEMESIS implementation expects to be able to poll for incoming messages
@@ -17,7 +17,7 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::machine::{AccessKind, CopyMode, DmaSubmission, Machine, PhysRange};
 use crate::stats::StatsSnapshot;
@@ -51,7 +51,25 @@ impl State {
 
 struct SchedShared {
     m: Mutex<State>,
-    cv: Condvar,
+    /// One per process, each waited on only by its own thread, so a
+    /// hand-off wakes the granted process and no other.
+    cvs: Vec<Condvar>,
+}
+
+impl SchedShared {
+    /// Wait, holding `st`'s lock, until `pid` is the granted process.
+    fn wait_for_grant(&self, pid: usize, st: &mut MutexGuard<'_, State>) {
+        while st.current != Some(pid) {
+            self.cvs[pid].wait(st);
+        }
+    }
+
+    /// Wake the process `st` just granted, if any.
+    fn wake_granted(&self, st: &State) {
+        if let Some(next) = st.current {
+            self.cvs[next].notify_one();
+        }
+    }
 }
 
 /// Handle a simulated process uses to interact with virtual time and the
@@ -99,10 +117,8 @@ impl Proc {
         if st.current == Some(self.pid) {
             return; // Still the minimum: keep running.
         }
-        self.shared.cv.notify_all();
-        while st.current != Some(self.pid) {
-            self.shared.cv.wait(&mut st);
-        }
+        self.shared.wake_granted(&st);
+        self.shared.wait_for_grant(self.pid, &mut st);
     }
 
     /// One empty poll: charge the poll cost and yield. The workhorse of
@@ -243,7 +259,7 @@ where
             status: vec![Status::Ready; n],
             current: None,
         }),
-        cv: Condvar::new(),
+        cvs: (0..n).map(|_| Condvar::new()).collect(),
     });
     shared.m.lock().grant();
 
@@ -254,13 +270,8 @@ where
             let machine = Arc::clone(&machine);
             let body = &body;
             handles.push(scope.spawn(move || {
-                {
-                    // Wait for our first grant.
-                    let mut st = shared.m.lock();
-                    while st.current != Some(pid) {
-                        shared.cv.wait(&mut st);
-                    }
-                }
+                // Wait for our first grant.
+                shared.wait_for_grant(pid, &mut shared.m.lock());
                 let proc = Proc {
                     pid,
                     core,
@@ -274,7 +285,7 @@ where
                 st.clocks[pid] = proc.now();
                 st.status[pid] = Status::Done;
                 st.grant();
-                shared.cv.notify_all();
+                shared.wake_granted(&st);
                 drop(st);
                 if let Err(p) = result {
                     std::panic::resume_unwind(p);

@@ -19,6 +19,18 @@ pub mod nas;
 pub(crate) mod nas_kernels;
 pub mod trace;
 
+/// FNV-1a over the little-endian bytes of `words`: the fingerprint the
+/// known-answer tests pin the seeded streams with.
+#[cfg(test)]
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words
+        .into_iter()
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        })
+}
+
 pub use imb::{alltoall_bench, pingpong_bench, AlltoallResult, PingpongResult};
 pub use imb_ext::{suite_bench, SuiteBench, SuiteResult};
 pub use nas::{run_nas, NasKernel, NasResult};

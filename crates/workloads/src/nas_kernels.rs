@@ -4,10 +4,15 @@
 use nemesis_core::coll::ReduceOp;
 use nemesis_core::datatype::{bytes_of, load_raw, store_raw};
 use nemesis_core::Comm;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use nemesis_model::rng::StdRng;
 
 use crate::nas::{NasClass, Scale};
+
+/// Rank `me`'s `nk` IS keys, uniform in `[0, max_key)`.
+fn is_keys(me: usize, nk: usize, max_key: u32) -> Vec<u32> {
+    let mut rng = StdRng::seed_from_u64(0x15AD_5EED ^ me as u64);
+    (0..nk).map(|_| rng.random_range(0..max_key)).collect()
+}
 
 /// IS: distributed bucket sort of `u32` keys (the real algorithm).
 ///
@@ -34,8 +39,7 @@ pub fn is_kernel(comm: &Comm<'_>, class: NasClass) -> bool {
     let cnt_s = os.alloc(me, 8 * n as u64);
     let cnt_r = os.alloc(me, 8 * n as u64);
 
-    let mut rng = StdRng::seed_from_u64(0x15AD_5EED ^ me as u64);
-    let keys: Vec<u32> = (0..nk).map(|_| rng.random_range(0..max_key)).collect();
+    let keys = is_keys(me, nk, max_key);
     store_raw(os, p, keys_buf, 0, &keys);
     os.touch_write(p, keys_buf, 0, keys_bytes);
 
@@ -393,6 +397,15 @@ mod tests {
     use nemesis_kernel::Os;
     use nemesis_sim::{run_simulation, Machine, MachineConfig};
     use std::sync::Arc;
+
+    #[test]
+    fn is_key_set_of_class_s_is_known() {
+        // The eight ranks of the benchmark's IS universe at class S.
+        let nk = crate::nas::Scale::of(NasClass::S).is_keys_per_rank;
+        let keys = (0..8).flat_map(|me| is_keys(me, nk, 1 << 19));
+        assert_eq!(nk, 8 << 10);
+        assert_eq!(crate::fnv1a(keys.map(u64::from)), 0xff8a_dc67_0a64_4ad8);
+    }
 
     fn run_kernel(n: usize, body: impl Fn(&Comm<'_>) -> bool + Send + Sync) -> bool {
         let machine = Arc::new(Machine::new(MachineConfig::xeon_e5345()));

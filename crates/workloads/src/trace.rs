@@ -9,11 +9,9 @@
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use nemesis_core::{Nemesis, NemesisConfig, Request};
 use nemesis_kernel::Os;
+use nemesis_model::rng::StdRng;
 use nemesis_sim::{run_simulation, Machine, MachineConfig, Ps, TrafficMatrix};
 
 /// One trace operation.
@@ -256,11 +254,14 @@ pub fn mmpp_arrivals_ns(
             acc *= rng.random::<f64>();
         }
         let base = step as u64 * step_ns;
+        let first = arrivals.len();
         for _ in 0..k {
             arrivals.push(base + (rng.random::<f64>() * step_ns as f64) as u64);
         }
+        // Steps cover disjoint, ascending time ranges: sorting each
+        // step's draws sorts the stream.
+        arrivals[first..].sort_unstable();
     }
-    arrivals.sort_unstable();
     arrivals
 }
 
@@ -450,6 +451,39 @@ mod tests {
             .max()
             .unwrap();
         assert!(busiest >= 2, "no step carried a burst");
+    }
+
+    #[test]
+    fn arrival_streams_of_both_serving_shapes_are_known() {
+        // (length, FNV-1a) for seeds 1-3. Saturated: 7 840 steps of
+        // 10 µs, always ON, 6 a step. Bursty: 20 000 steps of 100 µs,
+        // p_on = p_off = 0.1, 4 a step when ON.
+        let known = |shape: fn(u64) -> Vec<u64>| -> Vec<(usize, u64)> {
+            (1..=3)
+                .map(|seed| {
+                    let a = shape(seed);
+                    (a.len(), crate::fnv1a(a))
+                })
+                .collect()
+        };
+        let saturated = |seed| mmpp_arrivals_ns(7_840, 10_000, 1.0, 0.0, 6.0, seed);
+        let bursty = |seed| mmpp_arrivals_ns(20_000, 100_000, 0.1, 0.1, 4.0, seed);
+        assert_eq!(
+            known(saturated),
+            [
+                (47_294, 0x20d9_f10b_021f_fe98),
+                (46_886, 0xd7f5_fc8b_f001_82b6),
+                (46_907, 0xa5f1_3d9f_800c_d181),
+            ]
+        );
+        assert_eq!(
+            known(bursty),
+            [
+                (38_682, 0x16b4_ecce_8c30_87ae),
+                (39_595, 0xf357_fec9_da32_ff8e),
+                (40_047, 0xde15_83a9_404f_2430),
+            ]
+        );
     }
 
     #[test]

@@ -26,8 +26,8 @@ use nemesis::core::{
     ThresholdSelect,
 };
 use nemesis::kernel::Os;
+use nemesis::model::rng::StdRng;
 use nemesis::sim::{run_simulation, Machine, MachineConfig};
-use rand::{rngs::StdRng, Rng, SeedableRng};
 
 #[test]
 fn chunks_never_exceed_preferred_and_always_terminate() {

@@ -14,9 +14,9 @@ use std::sync::Arc;
 
 use nemesis::core::{FaultPlan, LmtSelect, Nemesis, NemesisConfig};
 use nemesis::kernel::Os;
+use nemesis::model::rng::StdRng;
 use nemesis::sim::topology::Placement;
 use nemesis::sim::{run_simulation, Machine, MachineConfig};
-use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// One message of the traffic: payload length and the think time the
 /// sender inserts before issuing it.

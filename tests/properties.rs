@@ -8,11 +8,9 @@
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use nemesis::core::{Comm, KnemSelect, LmtSelect, Nemesis, NemesisConfig, VectorLayout};
 use nemesis::kernel::Os;
+use nemesis::model::rng::StdRng;
 use nemesis::rt::queue::nem_queue;
 use nemesis::sim::{run_simulation, AccessKind, Machine, MachineConfig, PhysRange};
 

@@ -8,8 +8,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use nemesis::model::rng::StdRng;
 use nemesis::rt::queue::nem_queue_with_capacity;
-use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Pack (producer id, sequence) into the message payload.
 fn msg(pid: u64, seq: u64) -> u64 {

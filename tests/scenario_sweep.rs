@@ -14,9 +14,9 @@ use nemesis::core::{
     BackendSelect, KnemSelect, LmtSelect, Nemesis, NemesisConfig, ThresholdSelect,
 };
 use nemesis::kernel::Os;
+use nemesis::model::rng::StdRng;
 use nemesis::sim::topology::Placement;
 use nemesis::sim::{run_simulation, Machine, MachineConfig};
-use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// One message of a scenario's traffic: payload length and the
 /// simulated think time the sender inserts before issuing it.
