@@ -4,6 +4,7 @@
 //! fragments, exactly as real Nemesis sends multi-cell eager data.
 
 use nemesis_kernel::BufId;
+use nemesis_model::sync::lock;
 
 use crate::shm::{Envelope, PktKind, ShmState};
 
@@ -18,7 +19,7 @@ impl Comm<'_> {
         let start = self.p.now();
         loop {
             {
-                let mut sh = self.nem.sh.lock();
+                let mut sh = lock(&self.nem.sh);
                 if let Some(r) = take(&mut sh) {
                     return r;
                 }
@@ -194,7 +195,7 @@ impl Comm<'_> {
         debug_assert_eq!(src.iter().map(|s| s.2).sum::<u64>(), len);
         self.scatter_copy(&src, dst);
         if !cells.is_empty() {
-            let mut sh = self.nem.sh.lock();
+            let mut sh = lock(&self.nem.sh);
             for &(owner, idx, _) in cells {
                 sh.free_cells[owner].push(idx);
             }
@@ -231,7 +232,7 @@ impl Comm<'_> {
         }
         debug_assert_eq!(done, len);
         {
-            let mut sh = self.nem.sh.lock();
+            let mut sh = lock(&self.nem.sh);
             for &(owner, idx, _) in cells {
                 sh.free_cells[owner].push(idx);
             }

@@ -25,11 +25,10 @@ mod state;
 pub use state::{MessageInfo, Request};
 
 use std::cell::{Cell, RefCell};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use nemesis_kernel::{BufId, Os};
+use nemesis_model::sync::lock;
 use nemesis_sim::{Proc, Ps};
 
 use crate::config::{LmtSelect, NemesisConfig};
@@ -200,7 +199,7 @@ impl Nemesis {
     /// Attach the calling simulated process, producing its endpoint.
     pub fn attach<'a>(self: &Arc<Self>, p: &'a Proc) -> Comm<'a> {
         assert!(p.pid() < self.nprocs, "pid outside communicator");
-        self.cores.lock()[p.pid()] = Some(p.core());
+        lock(&self.cores)[p.pid()] = Some(p.core());
         Comm {
             p,
             nem: Arc::clone(self),
@@ -245,8 +244,7 @@ impl Nemesis {
 
     /// Current health of the directed pair, as the sender sees it.
     pub fn peer_health(&self, src: usize, dst: usize) -> PeerHealth {
-        self.health
-            .lock()
+        lock(&self.health)
             .get(&(src, dst))
             .map(|c| c.state)
             .unwrap_or_default()
@@ -265,7 +263,7 @@ impl Nemesis {
         now: Ps,
         sel: Option<LmtSelect>,
     ) {
-        let mut health = self.health.lock();
+        let mut health = lock(&self.health);
         let cell = health.entry((src, dst)).or_default();
         let quarantine = |cell: &mut PeerCell| {
             cell.state = PeerHealth::Quarantined;
@@ -306,7 +304,7 @@ impl Nemesis {
         if !self.faults.active() {
             return;
         }
-        let mut health = self.health.lock();
+        let mut health = lock(&self.health);
         if let Some(cell) = health.get_mut(&(src, dst)) {
             if matches!(cell.state, PeerHealth::Suspect | PeerHealth::Probing) {
                 cell.state = PeerHealth::Healthy;
@@ -332,7 +330,7 @@ impl Nemesis {
         commit: bool,
         now: Ps,
     ) -> LmtSelect {
-        let mut health = self.health.lock();
+        let mut health = lock(&self.health);
         let Some(cell) = health.get_mut(&(src, dst)) else {
             return sel;
         };
@@ -358,7 +356,7 @@ impl Nemesis {
     /// Cache relation of two *ranks* (unattached ranks count as
     /// cross-socket — the conservative direction).
     pub(crate) fn placement_between(&self, a: usize, b: usize) -> nemesis_sim::topology::Placement {
-        let cores = self.cores.lock();
+        let cores = lock(&self.cores);
         match (cores[a], cores[b]) {
             (Some(ca), Some(cb)) => self.os.machine().cfg().topology.placement(ca, cb),
             _ => nemesis_sim::topology::Placement::DifferentSocket,
@@ -400,7 +398,7 @@ impl Nemesis {
                 if let Some(sel) = self.learned_backend_select(src, dst, len, commit) {
                     sel
                 } else {
-                    let shared = match self.cores.lock()[dst] {
+                    let shared = match lock(&self.cores)[dst] {
                         Some(dst_core) => {
                             policy::cores_share_cache(self.os.machine(), src_core, dst_core)
                         }
@@ -473,7 +471,7 @@ impl Nemesis {
         ];
         let mut quarantined = [false; 4];
         {
-            let failed = self.failed_rails.lock();
+            let failed = lock(&self.failed_rails);
             for (i, (kind, _)) in KIND_ARMS.iter().enumerate() {
                 quarantined[i] = failed.contains(&(src, dst, kind.code()));
             }
@@ -517,13 +515,13 @@ impl Nemesis {
 
     /// Whether a rail kind is quarantined for the directed pair.
     pub(crate) fn rail_failed(&self, src: usize, dst: usize, kind: u8) -> bool {
-        self.failed_rails.lock().contains(&(src, dst, kind))
+        lock(&self.failed_rails).contains(&(src, dst, kind))
     }
 
     /// Quarantine a rail kind for the directed pair; returns `true` the
     /// first time (so an injected fault fires exactly once per pair).
     pub(crate) fn mark_rail_failed(&self, src: usize, dst: usize, kind: u8) -> bool {
-        self.failed_rails.lock().insert((src, dst, kind))
+        lock(&self.failed_rails).insert((src, dst, kind))
     }
 
     /// Lift a rail kind's quarantine for the directed pair — the
@@ -531,16 +529,14 @@ impl Nemesis {
     /// (see [`Nemesis::learned_backend_select`]). Returns whether the
     /// entry existed.
     pub(crate) fn clear_rail_failure(&self, src: usize, dst: usize, kind: u8) -> bool {
-        self.failed_rails.lock().remove(&(src, dst, kind))
+        lock(&self.failed_rails).remove(&(src, dst, kind))
     }
 
     /// The quarantined rail kinds of a directed pair, as
     /// [`RailKind::code`](crate::lmt::RailKind::code) values
     /// (diagnostics and tests).
     pub fn failed_rails(&self, src: usize, dst: usize) -> Vec<u8> {
-        let mut v: Vec<u8> = self
-            .failed_rails
-            .lock()
+        let mut v: Vec<u8> = lock(&self.failed_rails)
             .iter()
             .filter(|&&(s, d, _)| s == src && d == dst)
             .map(|&(_, _, k)| k)
@@ -551,7 +547,7 @@ impl Nemesis {
 
     /// Lazily create the copy ring for `(src, dst)`.
     pub(crate) fn ensure_ring(&self, src: usize, dst: usize) {
-        let mut sh = self.sh.lock();
+        let mut sh = lock(&self.sh);
         sh.rings.entry((src, dst)).or_insert_with(|| Ring {
             bufs: (0..self.cfg.ring_bufs)
                 .map(|_| self.os.alloc_shared(self.cfg.ring_chunk))
@@ -566,14 +562,14 @@ impl Nemesis {
     pub(crate) fn ensure_pipe(&self, src: usize, dst: usize) -> nemesis_kernel::PipeId {
         let key = (src, dst);
         {
-            let sh = self.sh.lock();
+            let sh = lock(&self.sh);
             if let Some(pp) = sh.pipes.get(&key) {
                 return pp.pipe;
             }
         }
         // Create outside the lock (pipe_create takes the OS lock).
         let pipe = self.os.pipe_create();
-        let mut sh = self.sh.lock();
+        let mut sh = lock(&self.sh);
         sh.pipes
             .entry(key)
             .or_insert(PairPipe {

@@ -10,6 +10,7 @@
 //! of a scan of every pending send.
 
 use nemesis_kernel::BufId;
+use nemesis_model::sync::lock;
 
 use crate::shm::{Envelope, PktKind};
 use crate::vector::{unpack, VectorLayout};
@@ -39,7 +40,7 @@ impl Comm<'_> {
         // below, and a partial drain leaves the bells set so the next
         // poll resumes.
         let (envs, cleared): (Vec<Envelope>, Vec<usize>) = {
-            let mut sh = self.nem.sh.lock();
+            let mut sh = lock(&self.nem.sh);
             if sh.doorbell_active(me) {
                 let q = &mut sh.queues[me];
                 let n = q.len().min(self.nem.policy.progress_batch());
@@ -187,7 +188,7 @@ impl Comm<'_> {
         let start = self.p.now();
         loop {
             {
-                let mut sh = self.nem.sh.lock();
+                let mut sh = lock(&self.nem.sh);
                 if sh.queues[dst].len() < self.nem.cfg.queue_slots {
                     sh.queues[dst].push_back(env);
                     sh.ring_doorbell(dst, me);

@@ -39,6 +39,7 @@
 
 use std::sync::Mutex;
 
+use nemesis_model::sync::lock;
 use nemesis_sim::Ps;
 
 /// One scheduled fault.
@@ -402,7 +403,7 @@ impl FaultEngine {
         let Some(inner) = &self.inner else {
             return PacketAction::Deliver;
         };
-        let st = &mut *inner.lock().unwrap();
+        let st = &mut *lock(inner);
         let (drop, dup) = if is_rts {
             (&mut st.drop_rts, &mut st.dup_rts)
         } else {
@@ -425,13 +426,13 @@ impl FaultEngine {
         let Some(inner) = &self.inner else {
             return false;
         };
-        inner.lock().unwrap().rail_fail[rail.min(3) as usize].armed(now)
+        lock(inner).rail_fail[rail.min(3) as usize].armed(now)
     }
 
     /// Spend one unit of the rail-abort budget.
     pub fn consume_rail_fail(&self, rail: u8) {
         if let Some(inner) = &self.inner {
-            inner.lock().unwrap().rail_fail[rail.min(3) as usize].consume();
+            lock(inner).rail_fail[rail.min(3) as usize].consume();
         }
     }
 
@@ -442,7 +443,7 @@ impl FaultEngine {
         let Some(inner) = &self.inner else {
             return false;
         };
-        inner.lock().unwrap().window_revoke.take(now)
+        lock(inner).window_revoke.take(now)
     }
 
     /// Whether `rank` is inside a stall window (non-consuming; the
@@ -451,9 +452,7 @@ impl FaultEngine {
         let Some(inner) = &self.inner else {
             return false;
         };
-        inner
-            .lock()
-            .unwrap()
+        lock(inner)
             .stalls
             .iter()
             .any(|&(from, until, r)| r == rank && from <= now && now < until)
@@ -465,9 +464,7 @@ impl FaultEngine {
         let Some(inner) = &self.inner else {
             return 0;
         };
-        inner
-            .lock()
-            .unwrap()
+        lock(inner)
             .slow
             .iter()
             .filter(|&&(from, until, r, _)| r == rail && from <= now && now < until)

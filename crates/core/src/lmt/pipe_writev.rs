@@ -9,6 +9,7 @@
 //! receiver drains the pipe).
 
 use nemesis_kernel::{Iov, PipeId};
+use nemesis_model::sync::lock;
 
 use crate::comm::Comm;
 use crate::shm::LmtWire;
@@ -119,7 +120,7 @@ pub(super) fn start_pipe_recv(
 /// acquire it once both sender and receiver have finished.
 fn finish_pipe_side(comm: &Comm<'_>, src: usize, dst: usize) {
     let nem = comm.nem();
-    let mut sh = nem.sh.lock();
+    let mut sh = lock(&nem.sh);
     let pp = sh.pipes.get_mut(&(src, dst)).expect("pipe exists");
     debug_assert!(pp.busy_parties > 0);
     pp.busy_parties -= 1;
@@ -160,7 +161,7 @@ impl LmtSendOp for PipeSendOp {
                     return Step::Idle;
                 }
                 let key = (comm.rank(), t.peer);
-                let mut sh = nem.sh.lock();
+                let mut sh = lock(&nem.sh);
                 let pp = sh.pipes.get_mut(&key).expect("pipe exists");
                 if pp.busy_parties == 0 {
                     pp.busy_parties = 2;

@@ -15,6 +15,7 @@
 //! fill, so the receiver needs no chunk-size agreement.
 
 use nemesis_kernel::Iov;
+use nemesis_model::sync::lock;
 use nemesis_sim::CopyMode;
 
 use crate::comm::Comm;
@@ -130,7 +131,7 @@ impl LmtSendOp for ShmSendOp {
                     return Step::Idle;
                 }
                 nem.ensure_ring(key.0, key.1);
-                let mut sh = nem.sh.lock();
+                let mut sh = lock(&nem.sh);
                 let ring = sh.rings.get_mut(&key).expect("ring exists");
                 if ring.owner.is_none() {
                     ring.owner = Some(t.msg_id);
@@ -161,7 +162,7 @@ impl LmtSendOp for ShmSendOp {
                 let did = pipe.drive(t.len, |at, budget| {
                     let slot = *next_slot % cfg.ring_bufs;
                     let (fill, ring_buf) = {
-                        let sh = nem.sh.lock();
+                        let sh = lock(&nem.sh);
                         let ring = &sh.rings[&key];
                         // Check the slot flag (cached read).
                         nem.seg.charge_flag(p, os, ring, slot, false);
@@ -172,7 +173,7 @@ impl LmtSendOp for ShmSendOp {
                     }
                     os.user_copy(p, t.buf, t.off + at, ring_buf, 0, budget);
                     {
-                        let mut sh = nem.sh.lock();
+                        let mut sh = lock(&nem.sh);
                         let ring = sh.rings.get_mut(&key).unwrap();
                         ring.fill[slot] = budget;
                         nem.seg.charge_flag(p, os, ring, slot, true);
@@ -188,7 +189,7 @@ impl LmtSendOp for ShmSendOp {
                 });
                 if pipe.is_complete(t.len) {
                     // Complete once the receiver drained everything.
-                    let mut sh = nem.sh.lock();
+                    let mut sh = lock(&nem.sh);
                     let ring = sh.rings.get_mut(&key).expect("ring exists");
                     if ring.fill.iter().all(|&f| f == 0) {
                         ring.owner = None;
@@ -226,7 +227,7 @@ impl LmtRecvOp for ShmRecvOp {
         // Only drain when the ring belongs to our message (ownership is
         // the per-message FIFO gate on this wire).
         {
-            let sh = nem.sh.lock();
+            let sh = lock(&nem.sh);
             match sh.rings.get(&key) {
                 Some(ring) if ring.owner == Some(t.msg_id) => {}
                 _ => return Step::Idle,
@@ -246,7 +247,7 @@ impl LmtRecvOp for ShmRecvOp {
         let did = self.pipe.drive(t.len, |at, _budget| {
             let slot = *next_slot % cfg.ring_bufs;
             let (fill, ring_buf) = {
-                let sh = nem.sh.lock();
+                let sh = lock(&nem.sh);
                 let ring = &sh.rings[&key];
                 nem.seg.charge_flag(p, os, ring, slot, false);
                 (ring.fill[slot], ring.bufs[slot])
@@ -258,7 +259,7 @@ impl LmtRecvOp for ShmRecvOp {
             os.user_copy_mode(p, ring_buf, 0, t.buf, t.off + at, fill, mode);
             *copy_ps += p.now().saturating_sub(t0);
             {
-                let mut sh = nem.sh.lock();
+                let mut sh = lock(&nem.sh);
                 let ring = sh.rings.get_mut(&key).unwrap();
                 ring.fill[slot] = 0;
                 nem.seg.charge_flag(p, os, ring, slot, true);

@@ -58,9 +58,7 @@ pub mod threshold;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use nemesis_sim::topology::Placement;
 
@@ -68,6 +66,7 @@ use crate::config::LmtSelect;
 use crate::lmt::striped::RailKind;
 
 use nemesis_model::ewma::blend;
+use nemesis_model::sync::{lock, read, write};
 use nemesis_model::{explore_flip, is_explore_tick, ChunkModel};
 use selector::{CollAlgModel, CollKind, SelectorModel};
 use threshold::CrossoverModel;
@@ -300,7 +299,7 @@ impl Tuner {
         gid: i32,
         seq: i32,
     ) -> usize {
-        self.coll.lock().select(kind, gsize, bytes, gid, seq)
+        lock(&self.coll).select(kind, gsize, bytes, gid, seq)
     }
 
     /// Credit one completed collective operation: `moved_bytes` over
@@ -315,8 +314,7 @@ impl Tuner {
         moved_bytes: u64,
         elapsed_ps: u64,
     ) {
-        self.coll
-            .lock()
+        lock(&self.coll)
             .grid
             .observe(kind, gsize, msg_bytes, arm, moved_bytes, elapsed_ps);
     }
@@ -330,7 +328,7 @@ impl Tuner {
         msg_bytes: u64,
         arm: usize,
     ) -> (f64, u32) {
-        self.coll.lock().grid.cell(kind, gsize, msg_bytes, arm)
+        lock(&self.coll).grid.cell(kind, gsize, msg_bytes, arm)
     }
 
     /// Materialize (or fetch) the pair's cell. Decision and recording
@@ -338,10 +336,10 @@ impl Tuner {
     /// [`Tuner::try_pair`] so inspection never inflates the resident
     /// set.
     fn pair(&self, src: usize, dst: usize) -> Arc<PairState> {
-        if let Some(p) = self.pairs.read().get(&(src, dst)) {
+        if let Some(p) = read(&self.pairs).get(&(src, dst)) {
             return Arc::clone(p);
         }
-        let mut w = self.pairs.write();
+        let mut w = write(&self.pairs);
         Arc::clone(
             w.entry((src, dst))
                 .or_insert_with(|| Arc::new(PairState::new())),
@@ -350,13 +348,13 @@ impl Tuner {
 
     /// The pair's cell if it has been materialized.
     fn try_pair(&self, src: usize, dst: usize) -> Option<Arc<PairState>> {
-        self.pairs.read().get(&(src, dst)).map(Arc::clone)
+        read(&self.pairs).get(&(src, dst)).map(Arc::clone)
     }
 
     /// Resident materialized pair cells (the scale-out memory
     /// diagnostic: bounded by touched pairs, never `nprocs²`).
     pub fn resident_pairs(&self) -> usize {
-        self.pairs.read().len()
+        read(&self.pairs).len()
     }
 
     /// Seed a virgin pair from the placement prior: published decisions
@@ -384,8 +382,8 @@ impl Tuner {
         for k in 0..NRAIL_KINDS {
             seed_if_unset(&p.rail_bw[k], &prior.rail_bw[k]);
         }
-        let mut m = p.model.lock();
-        let grid = prior.sel.lock();
+        let mut m = lock(&p.model);
+        let grid = lock(&prior.sel);
         m.selector.seed_cells(&grid);
     }
 
@@ -453,7 +451,7 @@ impl Tuner {
         if let Some(kind) = s.rail {
             fold_bw(&p.rail_bw[kind.code() as usize], bw);
         }
-        let mut m = p.model.lock();
+        let mut m = lock(&p.model);
         if migrated {
             p.epoch.fetch_add(1, Ordering::Relaxed);
             m.crossover.decay();
@@ -485,7 +483,7 @@ impl Tuner {
         } else {
             TransferClass::Copy
         };
-        let mut m = p.model.lock();
+        let mut m = lock(&p.model);
         m.nt.observe(class, bytes, elapsed_ps);
         if let Some(t) = m.nt.learned() {
             p.nt_min.store(t.min(self.ceil).max(1), Ordering::Relaxed);
@@ -559,10 +557,7 @@ impl Tuner {
         len: u64,
         eligible: &[bool; selector::NARMS],
     ) -> LmtSelect {
-        let arm = self
-            .pair(src, dst)
-            .model
-            .lock()
+        let arm = lock(&self.pair(src, dst).model)
             .selector
             .pick(len, eligible);
         selector::ARMS[arm]
@@ -581,7 +576,7 @@ impl Tuner {
         eligible: &[bool; selector::NARMS],
     ) -> LmtSelect {
         let arm = match self.try_pair(src, dst) {
-            Some(p) => p.model.lock().selector.peek(len, eligible),
+            Some(p) => lock(&p.model).selector.peek(len, eligible),
             None => SelectorModel::default().peek(len, eligible),
         };
         selector::ARMS[arm]
@@ -593,11 +588,11 @@ impl Tuner {
     /// so later same-placement pairs can skip the sweep.
     pub fn observe_arm(&self, src: usize, dst: usize, arm: usize, bytes: u64, elapsed_ps: u64) {
         let p = self.pair(src, dst);
-        let mut m = p.model.lock();
+        let mut m = lock(&p.model);
         m.selector.observe(arm, bytes, elapsed_ps);
         let code = p.placement.load(Ordering::Relaxed);
         if let Some(prior) = self.priors.get(code as usize) {
-            m.selector.copy_cells(&mut prior.sel.lock());
+            m.selector.copy_cells(&mut lock(&prior.sel));
             prior.donors.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -609,7 +604,7 @@ impl Tuner {
     /// applied.
     pub fn demote_arm(&self, src: usize, dst: usize, sel: LmtSelect) -> bool {
         match selector::arm_of(sel) {
-            Some(arm) => self.pair(src, dst).model.lock().selector.demote_once(arm),
+            Some(arm) => lock(&self.pair(src, dst).model).selector.demote_once(arm),
             None => false,
         }
     }
@@ -617,7 +612,7 @@ impl Tuner {
     /// Whether a selector arm is currently banned for the pair.
     pub fn arm_banned(&self, src: usize, dst: usize, sel: LmtSelect) -> bool {
         match (selector::arm_of(sel), self.try_pair(src, dst)) {
-            (Some(arm), Some(p)) => p.model.lock().selector.is_banned(arm),
+            (Some(arm), Some(p)) => lock(&p.model).selector.is_banned(arm),
             _ => false,
         }
     }
@@ -628,7 +623,7 @@ impl Tuner {
     /// fully expired — the re-admission condition.
     pub fn arm_demote_spent(&self, src: usize, dst: usize, sel: LmtSelect) -> bool {
         match (selector::arm_of(sel), self.try_pair(src, dst)) {
-            (Some(arm), Some(p)) => p.model.lock().selector.demote_spent(arm),
+            (Some(arm), Some(p)) => lock(&p.model).selector.demote_spent(arm),
             _ => false,
         }
     }
@@ -638,7 +633,7 @@ impl Tuner {
     /// again.
     pub fn arm_reset_demotion(&self, src: usize, dst: usize, sel: LmtSelect) {
         if let (Some(arm), Some(p)) = (selector::arm_of(sel), self.try_pair(src, dst)) {
-            p.model.lock().selector.reset_demotion(arm);
+            lock(&p.model).selector.reset_demotion(arm);
         }
     }
 
@@ -661,7 +656,7 @@ impl Tuner {
             return;
         }
         let p = self.pair(src, dst);
-        let mut m = p.model.lock();
+        let mut m = lock(&p.model);
         m.chunk.observe(chunk_bytes, elapsed_ps);
         if let Some(c) = m.chunk.sweet_spot() {
             p.chunk.store(c, Ordering::Relaxed);
@@ -772,7 +767,7 @@ impl Tuner {
         let mut out = String::from("nemesis-tuner-v1\n");
         // Only materialized cells exist; sort so the export is
         // deterministic regardless of materialization order.
-        let mut keys: Vec<(usize, usize)> = self.pairs.read().keys().copied().collect();
+        let mut keys: Vec<(usize, usize)> = read(&self.pairs).keys().copied().collect();
         keys.sort_unstable();
         for (src, dst) in keys {
             {
@@ -814,7 +809,7 @@ impl Tuner {
                 // Exploration clocks (and the collective memos below)
                 // restart fresh in the importing universe.
                 let mut cells = selector::EMPTY_CELL_GRID;
-                p.model.lock().selector.copy_cells(&mut cells);
+                lock(&p.model).selector.copy_cells(&mut cells);
                 for (ci, row) in cells.iter().enumerate() {
                     for (ai, &(bits, n)) in row.iter().enumerate() {
                         if n > 0 {
@@ -824,7 +819,7 @@ impl Tuner {
                 }
             }
         }
-        for (k, g, c, a, bw, n) in self.coll.lock().grid.sampled() {
+        for (k, g, c, a, bw, n) in lock(&self.coll).grid.sampled() {
             let _ = writeln!(out, "coll {k} {g} {c} {a} {:#x} {n}", bw.to_bits());
         }
         out
@@ -864,8 +859,7 @@ impl Tuner {
                         parse_u64(f[5]),
                         f[6].parse::<u32>().ok(),
                     ) {
-                        self.coll
-                            .lock()
+                        lock(&self.coll)
                             .grid
                             .import_cell(kind, gclass, mclass, arm, bits, n);
                     }
@@ -929,7 +923,7 @@ impl Tuner {
                         parse_u64(f[5]),
                         f[6].parse::<u32>().ok(),
                     ) {
-                        p.model.lock().selector.import_cell(class, arm, bits, n);
+                        lock(&p.model).selector.import_cell(class, arm, bits, n);
                     }
                 }
                 _ => {}

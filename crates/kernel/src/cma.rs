@@ -35,6 +35,7 @@
 
 use std::collections::HashMap;
 
+use nemesis_model::sync::lock;
 use nemesis_sim::Proc;
 
 use crate::mem::{Iov, Os};
@@ -68,7 +69,7 @@ impl Os {
     /// exists so the simulated receiver can name the ranges.
     pub fn cma_expose(&self, p: &Proc, iovs: &[Iov]) -> CmaWindowId {
         self.validate_iovs(Some(p.pid()), iovs);
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let id = st.cma.next;
         st.cma.next += 1;
         st.cma.windows.insert(
@@ -84,7 +85,7 @@ impl Os {
     /// Drop an exposed window (either side, after completion). Nothing
     /// was pinned, so nothing is charged.
     pub fn cma_close(&self, _p: &Proc, w: CmaWindowId) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.cma
             .windows
             .remove(&w.0)
@@ -94,12 +95,12 @@ impl Os {
     /// Live exposed windows (diagnostics; a nonzero value at a
     /// quiescent point is a bookkeeping leak).
     pub fn cma_live_windows(&self) -> usize {
-        self.state.lock().cma.windows.len()
+        lock(&self.state).cma.windows.len()
     }
 
     /// Total bytes an exposed window covers.
     pub fn cma_window_len(&self, w: CmaWindowId) -> u64 {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         Iov::total(&st.cma.windows[&w.0].iovs)
     }
 
@@ -122,7 +123,7 @@ impl Os {
         // Pair window[off..off+want] against the local iovec, capped at
         // the per-call segment budget.
         let runs = {
-            let st = self.state.lock();
+            let st = lock(&self.state);
             let win = st
                 .cma
                 .windows
@@ -195,7 +196,7 @@ fn pair_window(window: &[Iov], skip: u64, dst: &[Iov]) -> Vec<(usize, u64, usize
 mod tests {
     use super::*;
     use nemesis_sim::{run_simulation, Machine, MachineConfig};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     fn two_procs(body: impl Fn(&Proc, &Os) + Send + Sync) {
         let machine = Arc::new(Machine::new(MachineConfig::xeon_e5345()));
@@ -205,7 +206,7 @@ mod tests {
 
     #[test]
     fn single_copy_roundtrip_with_loop() {
-        let window = parking_lot::Mutex::new(None::<CmaWindowId>);
+        let window = Mutex::new(None::<CmaWindowId>);
         let len = 300 << 10;
         two_procs(|p, os| {
             if p.pid() == 0 {
@@ -216,9 +217,9 @@ mod tests {
                     }
                 });
                 os.touch_write(p, src, 0, len);
-                *window.lock() = Some(os.cma_expose(p, &[Iov::new(src, 0, len)]));
+                *lock(&window) = Some(os.cma_expose(p, &[Iov::new(src, 0, len)]));
             } else {
-                let w = p.poll_until(|| *window.lock());
+                let w = p.poll_until(|| *lock(&window));
                 let dst = os.alloc(1, len);
                 let mut at = 0u64;
                 while at < len {
@@ -237,7 +238,7 @@ mod tests {
 
     #[test]
     fn partial_read_stops_at_the_segment_budget() {
-        let window = parking_lot::Mutex::new(None::<CmaWindowId>);
+        let window = Mutex::new(None::<CmaWindowId>);
         two_procs(|p, os| {
             if p.pid() == 0 {
                 // 32 source blocks of 1 KiB: far more runs than one call
@@ -245,9 +246,9 @@ mod tests {
                 let src = os.alloc(0, 64 << 10);
                 os.with_data_mut(p, src, |d| d.fill(7));
                 let iovs: Vec<Iov> = (0..32).map(|i| Iov::new(src, i * 2048, 1024)).collect();
-                *window.lock() = Some(os.cma_expose(p, &iovs));
+                *lock(&window) = Some(os.cma_expose(p, &iovs));
             } else {
-                let w = p.poll_until(|| *window.lock());
+                let w = p.poll_until(|| *lock(&window));
                 let dst = os.alloc(1, 32 << 10);
                 let n = os.process_vm_readv(p, w, 0, &[Iov::new(dst, 0, 32 << 10)]);
                 assert_eq!(
@@ -271,13 +272,13 @@ mod tests {
         let machine = Arc::new(Machine::new(MachineConfig::xeon_e5345()));
         let os = Os::new(Arc::clone(&machine));
         let m2 = Arc::clone(&machine);
-        let window = parking_lot::Mutex::new(None::<CmaWindowId>);
+        let window = Mutex::new(None::<CmaWindowId>);
         run_simulation(machine, &[0, 4], |p| {
             if p.pid() == 0 {
                 let src = os.alloc(0, 1 << 20);
-                *window.lock() = Some(os.cma_expose(p, &[Iov::new(src, 0, 1 << 20)]));
+                *lock(&window) = Some(os.cma_expose(p, &[Iov::new(src, 0, 1 << 20)]));
             } else {
-                let w = p.poll_until(|| *window.lock());
+                let w = p.poll_until(|| *lock(&window));
                 let dst = os.alloc(1, 1 << 20);
                 let mut at = 0u64;
                 while at < 1 << 20 {
@@ -304,9 +305,9 @@ mod tests {
         let run = |huge: bool| {
             let machine = Arc::new(Machine::new(MachineConfig::xeon_e5345()));
             let os = Os::new(Arc::clone(&machine));
-            let window = parking_lot::Mutex::new(None::<CmaWindowId>);
-            let out = parking_lot::Mutex::new(Vec::new());
-            let walk = parking_lot::Mutex::new(0u64);
+            let window = Mutex::new(None::<CmaWindowId>);
+            let out = Mutex::new(Vec::new());
+            let walk = Mutex::new(0u64);
             run_simulation(machine, &[0, 4], |p| {
                 if p.pid() == 0 {
                     let src = if huge {
@@ -321,9 +322,9 @@ mod tests {
                         }
                     });
                     os.touch_write(p, src, 0, len);
-                    *window.lock() = Some(os.cma_expose(p, &[Iov::new(src, 0, len)]));
+                    *lock(&window) = Some(os.cma_expose(p, &[Iov::new(src, 0, len)]));
                 } else {
-                    let w = p.poll_until(|| *window.lock());
+                    let w = p.poll_until(|| *lock(&window));
                     let dst = os.alloc(1, len);
                     // Isolate the per-call overhead: measure one whole
                     // readv loop and subtract the pure copy cost via the
@@ -333,13 +334,13 @@ mod tests {
                     while at < len {
                         at += os.process_vm_readv(p, w, at, &[Iov::new(dst, at, len - at)]);
                     }
-                    *walk.lock() = p.now() - t0;
+                    *lock(&walk) = p.now() - t0;
                     os.cma_close(p, w);
-                    *out.lock() = os.read_bytes(p, dst, 0, len);
+                    *lock(&out) = os.read_bytes(p, dst, 0, len);
                 }
             });
-            let bytes = out.lock().clone();
-            let t = *walk.lock();
+            let bytes = lock(&out).clone();
+            let t = *lock(&walk);
             (bytes, t)
         };
         let (small_bytes, small_t) = run(false);
@@ -372,13 +373,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "past the exposed window")]
     fn out_of_window_read_rejected() {
-        let window = parking_lot::Mutex::new(None::<CmaWindowId>);
+        let window = Mutex::new(None::<CmaWindowId>);
         two_procs(|p, os| {
             if p.pid() == 0 {
                 let src = os.alloc(0, 64);
-                *window.lock() = Some(os.cma_expose(p, &[Iov::new(src, 0, 64)]));
+                *lock(&window) = Some(os.cma_expose(p, &[Iov::new(src, 0, 64)]));
             } else {
-                let w = p.poll_until(|| *window.lock());
+                let w = p.poll_until(|| *lock(&window));
                 let dst = os.alloc(1, 128);
                 os.process_vm_readv(p, w, 32, &[Iov::new(dst, 0, 128)]);
             }
@@ -387,7 +388,7 @@ mod tests {
 
     #[test]
     fn strided_to_strided_pairs_correctly() {
-        let window = parking_lot::Mutex::new(None::<CmaWindowId>);
+        let window = Mutex::new(None::<CmaWindowId>);
         two_procs(|p, os| {
             if p.pid() == 0 {
                 let src = os.alloc(0, 8 << 10);
@@ -402,9 +403,9 @@ mod tests {
                     Iov::new(src, 2000, 500),
                     Iov::new(src, 4000, 1500),
                 ];
-                *window.lock() = Some(os.cma_expose(p, &iovs));
+                *lock(&window) = Some(os.cma_expose(p, &iovs));
             } else {
-                let w = p.poll_until(|| *window.lock());
+                let w = p.poll_until(|| *lock(&window));
                 let dst = os.alloc(1, 4 << 10);
                 // Misaligned destination blocks.
                 let dst_iovs = [Iov::new(dst, 0, 1700), Iov::new(dst, 2048, 1300)];

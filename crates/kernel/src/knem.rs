@@ -24,6 +24,7 @@
 
 use std::collections::HashMap;
 
+use nemesis_model::sync::lock;
 use nemesis_sim::machine::PhysRange;
 use nemesis_sim::{Proc, Ps};
 
@@ -162,7 +163,7 @@ impl Os {
             .map(|v| self.pages_touched(v.buf, v.off, v.len))
             .sum();
         p.pin_pages(pages);
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let id = st.knem.next_cookie;
         st.knem.next_cookie += 1;
         st.knem.cookies.insert(
@@ -184,7 +185,7 @@ impl Os {
     pub fn knem_destroy_cookie(&self, p: &Proc, cookie: Cookie) {
         p.syscall();
         let entry = {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             st.knem
                 .cookies
                 .remove(&cookie.0)
@@ -195,15 +196,14 @@ impl Os {
 
     /// Number of live cookies (diagnostics).
     pub fn knem_live_cookies(&self) -> usize {
-        self.state.lock().knem.cookies.len()
+        lock(&self.state).knem.cookies.len()
     }
 
     /// Pages currently held pinned by live cookies (diagnostics: a
     /// nonzero value after a quiescent point is a pin leak, the failure
     /// mode real KNEM guards with region accounting).
     pub fn knem_pinned_pages(&self) -> u64 {
-        self.state
-            .lock()
+        lock(&self.state)
             .knem
             .cookies
             .values()
@@ -214,7 +214,7 @@ impl Os {
     /// Allocate a status variable for async completions.
     pub fn knem_alloc_status(&self, owner: usize) -> StatusId {
         let buf = self.alloc(owner, 64);
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.knem.statuses.push(StatusEntry {
             owner,
             buf,
@@ -227,7 +227,7 @@ impl Os {
     /// armed it has completed (in virtual time). Charges one cached read.
     pub fn knem_poll_status(&self, p: &Proc, status: StatusId) -> bool {
         let (buf, done_at) = {
-            let st = self.state.lock();
+            let st = lock(&self.state);
             let e = &st.knem.statuses[status.0];
             assert_eq!(e.owner, p.pid(), "polling someone else's status");
             (e.buf, e.done_at)
@@ -265,7 +265,7 @@ impl Os {
         self.validate_iovs(Some(p.pid()), dst_iovs);
         p.syscall();
         let src_iovs = {
-            let st = self.state.lock();
+            let st = lock(&self.state);
             let entry = st
                 .knem
                 .cookies
@@ -353,7 +353,7 @@ impl Os {
                 } else {
                     // Figure 2: trailing one-byte status copy.
                     let sbuf = {
-                        let st = self.state.lock();
+                        let st = lock(&self.state);
                         st.knem.statuses[status.0].buf
                     };
                     let st_sub = p.dma_status_on(flags.channel, self.phys(sbuf, 0, 1));
@@ -361,7 +361,7 @@ impl Os {
                 }
             }
         };
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.knem.statuses[status.0].done_at = Some(done_at);
         drop(st);
         debug_assert!(total == Iov::total(dst_iovs));
@@ -370,7 +370,7 @@ impl Os {
 
     /// Re-arm a status variable before reuse.
     pub fn knem_reset_status(&self, p: &Proc, status: StatusId) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let e = &mut st.knem.statuses[status.0];
         assert_eq!(e.owner, p.pid());
         e.done_at = None;
@@ -381,7 +381,7 @@ impl Os {
 mod tests {
     use super::*;
     use nemesis_sim::{run_simulation, Machine, MachineConfig};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     /// Two-process harness: pid 0 fills a 0-owned buffer and declares it,
     /// pid 1 receives into its own buffer with the given flags; returns
@@ -389,8 +389,8 @@ mod tests {
     fn transfer(len: u64, flags: KnemFlags) -> (nemesis_sim::Ps, Vec<u8>) {
         let machine = Arc::new(Machine::new(MachineConfig::xeon_e5345()));
         let os = Os::new(Arc::clone(&machine));
-        let cookie_slot = parking_lot::Mutex::new(None::<Cookie>);
-        let out = parking_lot::Mutex::new(Vec::new());
+        let cookie_slot = Mutex::new(None::<Cookie>);
+        let out = Mutex::new(Vec::new());
         let r = run_simulation(machine, &[0, 4], |p| {
             if p.pid() == 0 {
                 let src = os.alloc(0, len);
@@ -401,19 +401,19 @@ mod tests {
                 });
                 os.touch_write(p, src, 0, len);
                 let c = os.knem_send_cmd(p, &[Iov::new(src, 0, len)]);
-                *cookie_slot.lock() = Some(c);
+                *lock(&cookie_slot) = Some(c);
             } else {
                 let dst = os.alloc(1, len);
-                let c = p.poll_until(|| *cookie_slot.lock());
+                let c = p.poll_until(|| *lock(&cookie_slot));
                 let status = os.knem_alloc_status(1);
                 os.knem_recv_cmd(p, c, &[Iov::new(dst, 0, len)], flags, status);
                 os.knem_wait_status(p, status);
                 os.knem_destroy_cookie(p, c);
-                *out.lock() = os.read_bytes(p, dst, 0, len);
+                *lock(&out) = os.read_bytes(p, dst, 0, len);
             }
         });
         assert_eq!(os.knem_live_cookies(), 0);
-        let data = out.lock().clone();
+        let data = lock(&out).clone();
         (r.makespan, data)
     }
 
@@ -468,16 +468,16 @@ mod tests {
         let run = |flags: KnemFlags| {
             let machine = Arc::new(Machine::new(MachineConfig::xeon_e5345()));
             let os = Os::new(Arc::clone(&machine));
-            let cookie_slot = parking_lot::Mutex::new(None::<Cookie>);
+            let cookie_slot = Mutex::new(None::<Cookie>);
             let m2 = Arc::clone(&machine);
             run_simulation(machine, &[0, 4], |p| {
                 if p.pid() == 0 {
                     let src = os.alloc(0, 1 << 20);
                     os.touch_write(p, src, 0, 1 << 20);
-                    *cookie_slot.lock() = Some(os.knem_send_cmd(p, &[Iov::new(src, 0, 1 << 20)]));
+                    *lock(&cookie_slot) = Some(os.knem_send_cmd(p, &[Iov::new(src, 0, 1 << 20)]));
                 } else {
                     let dst = os.alloc(1, 1 << 20);
-                    let c = p.poll_until(|| *cookie_slot.lock());
+                    let c = p.poll_until(|| *lock(&cookie_slot));
                     let status = os.knem_alloc_status(1);
                     os.knem_recv_cmd(p, c, &[Iov::new(dst, 0, 1 << 20)], flags, status);
                     os.knem_wait_status(p, status);
@@ -504,9 +504,9 @@ mod tests {
         let run = |huge: bool| {
             let machine = Arc::new(Machine::new(MachineConfig::xeon_e5345()));
             let os = Os::new(Arc::clone(&machine));
-            let cookie_slot = parking_lot::Mutex::new(None::<Cookie>);
+            let cookie_slot = Mutex::new(None::<Cookie>);
             let m2 = Arc::clone(&machine);
-            let out = parking_lot::Mutex::new(Vec::new());
+            let out = Mutex::new(Vec::new());
             run_simulation(machine, &[0, 4], |p| {
                 if p.pid() == 0 {
                     let src = if huge {
@@ -520,14 +520,14 @@ mod tests {
                         }
                     });
                     os.touch_write(p, src, 0, len);
-                    *cookie_slot.lock() = Some(os.knem_send_cmd(p, &[Iov::new(src, 0, len)]));
+                    *lock(&cookie_slot) = Some(os.knem_send_cmd(p, &[Iov::new(src, 0, len)]));
                 } else {
                     let dst = if huge {
                         os.alloc_huge(1, len)
                     } else {
                         os.alloc(1, len)
                     };
-                    let c = p.poll_until(|| *cookie_slot.lock());
+                    let c = p.poll_until(|| *lock(&cookie_slot));
                     let status = os.knem_alloc_status(1);
                     os.knem_recv_cmd(
                         p,
@@ -538,11 +538,11 @@ mod tests {
                     );
                     os.knem_wait_status(p, status);
                     os.knem_destroy_cookie(p, c);
-                    *out.lock() = os.read_bytes(p, dst, 0, len);
+                    *lock(&out) = os.read_bytes(p, dst, 0, len);
                 }
             });
             let stats = m2.snapshot().per_proc.to_vec();
-            let bytes = out.lock().clone();
+            let bytes = lock(&out).clone();
             (bytes, stats)
         };
         let (small_bytes, small_stats) = run(false);
@@ -570,23 +570,23 @@ mod tests {
         let run = |second_channel: usize| {
             let machine = Arc::new(Machine::new(MachineConfig::nehalem_x5550()));
             let os = Os::new(Arc::clone(&machine));
-            let cookies = parking_lot::Mutex::new(Vec::<Cookie>::new());
+            let cookies = Mutex::new(Vec::<Cookie>::new());
             let len: u64 = 1 << 20;
-            let done = parking_lot::Mutex::new(0);
+            let done = Mutex::new(0);
             run_simulation(machine, &[0, 4], |p| {
                 if p.pid() == 0 {
                     for _ in 0..2 {
                         let src = os.alloc_on(0, 1, len);
                         os.touch_write(p, src, 0, len);
                         let c = os.knem_send_cmd(p, &[Iov::new(src, 0, len)]);
-                        cookies.lock().push(c);
+                        lock(&cookies).push(c);
                     }
                 } else {
-                    p.poll_until(|| (cookies.lock().len() == 2).then_some(()));
+                    p.poll_until(|| (lock(&cookies).len() == 2).then_some(()));
                     let t0 = p.now();
                     let statuses: Vec<StatusId> = (0..2)
                         .map(|i| {
-                            let c = cookies.lock()[i];
+                            let c = lock(&cookies)[i];
                             let dst = os.alloc_on(1, 1, len);
                             let status = os.knem_alloc_status(1);
                             let ch = if i == 0 { 0 } else { second_channel };
@@ -603,10 +603,10 @@ mod tests {
                     for s in statuses {
                         os.knem_wait_status(p, s);
                     }
-                    *done.lock() = p.now() - t0;
+                    *lock(&done) = p.now() - t0;
                 }
             });
-            let d = *done.lock();
+            let d = *lock(&done);
             d
         };
         let multiplexed = run(0);

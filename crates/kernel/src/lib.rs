@@ -33,8 +33,9 @@ pub use pipe::PipeId;
 
 #[cfg(test)]
 mod integration_tests {
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
+    use nemesis_model::sync::lock;
     use nemesis_sim::{run_simulation, Machine, MachineConfig};
 
     use crate::mem::Os;
@@ -47,7 +48,7 @@ mod integration_tests {
             let machine = Arc::new(Machine::new(MachineConfig::xeon_e5345()));
             let os = Arc::new(Os::new(Arc::clone(&machine)));
             let pipe = os.pipe_create();
-            let cookie_slot = parking_lot::Mutex::new(None::<crate::knem::Cookie>);
+            let cookie_slot = Mutex::new(None::<crate::knem::Cookie>);
             let report = run_simulation(machine, &[0, 4], |p| {
                 if p.pid() == 0 {
                     let buf = os.alloc(p.pid(), 128 << 10);
@@ -61,11 +62,11 @@ mod integration_tests {
                     os.pipe_write_all(p, pipe, buf, 0, 64 << 10);
                     let cookie =
                         os.knem_send_cmd(p, &[crate::mem::Iov::new(buf, 64 << 10, 64 << 10)]);
-                    *cookie_slot.lock() = Some(cookie);
+                    *lock(&cookie_slot) = Some(cookie);
                 } else {
                     let dst = os.alloc(p.pid(), 128 << 10);
                     os.pipe_read_exact(p, pipe, dst, 0, 64 << 10);
-                    let cookie = p.poll_until(|| *cookie_slot.lock());
+                    let cookie = p.poll_until(|| *lock(&cookie_slot));
                     let status = os.knem_alloc_status(p.pid());
                     os.knem_recv_cmd(
                         p,

@@ -7,10 +7,9 @@
 //! the kernel — or shared (the `mmap`'d segment Nemesis uses for its
 //! queues, cells and copy buffers).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-
+use nemesis_model::sync::lock;
 use nemesis_sim::config::PAGE;
 use nemesis_sim::machine::{CopyMode, PhysRange};
 use nemesis_sim::{Machine, Proc};
@@ -154,7 +153,7 @@ impl Os {
     }
 
     fn register_paged(&self, owner: usize, phys: u64, len: u64, page_size: u64) -> BufId {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.buffers.push(BufEntry {
             owner,
             phys,
@@ -166,7 +165,7 @@ impl Os {
 
     /// Size of the pages backing `buf` (4 KiB unless huge-page-backed).
     pub fn page_size(&self, buf: BufId) -> u64 {
-        self.state.lock().buffers[buf].page_size
+        lock(&self.state).buffers[buf].page_size
     }
 
     /// Page charge for a `len`-byte access to `buf`, at the buffer's
@@ -198,24 +197,24 @@ impl Os {
 
     /// Length of a buffer.
     pub fn len(&self, buf: BufId) -> u64 {
-        self.state.lock().buffers[buf].data.len() as u64
+        lock(&self.state).buffers[buf].data.len() as u64
     }
 
     /// Whether there are no buffers at all (clippy convention).
     pub fn is_empty(&self) -> bool {
-        self.state.lock().buffers.is_empty()
+        lock(&self.state).buffers.is_empty()
     }
 
     /// Physical range backing `buf[off..off+len]`.
     pub fn phys(&self, buf: BufId, off: u64, len: u64) -> PhysRange {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         let e = &st.buffers[buf];
         assert!(off + len <= e.data.len() as u64, "range out of bounds");
         PhysRange::new(e.phys + off, len)
     }
 
     fn assert_user_access(&self, pid: usize, buf: BufId) {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         let owner = st.buffers[buf].owner;
         assert!(
             owner == pid || owner == SHARED_OWNER,
@@ -240,7 +239,7 @@ impl Os {
         self.assert_user_access(p.pid(), buf);
         let r = self.phys(buf, off, len);
         let out = {
-            let st = self.state.lock();
+            let st = lock(&self.state);
             st.buffers[buf].data[off as usize..(off + len) as usize].to_vec()
         };
         p.read(r);
@@ -252,7 +251,7 @@ impl Os {
         self.assert_user_access(p.pid(), buf);
         let r = self.phys(buf, off, bytes.len() as u64);
         {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             st.buffers[buf].data[off as usize..off as usize + bytes.len()].copy_from_slice(bytes);
         }
         p.write(r);
@@ -264,14 +263,14 @@ impl Os {
     /// the simulation (the OS lock is held).
     pub fn with_data_mut<R>(&self, p: &Proc, buf: BufId, f: impl FnOnce(&mut [u8]) -> R) -> R {
         self.assert_user_access(p.pid(), buf);
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         f(&mut st.buffers[buf].data)
     }
 
     /// Inspect buffer contents (no charge; see `with_data_mut`).
     pub fn with_data<R>(&self, p: &Proc, buf: BufId, f: impl FnOnce(&[u8]) -> R) -> R {
         self.assert_user_access(p.pid(), buf);
-        let st = self.state.lock();
+        let st = lock(&self.state);
         f(&st.buffers[buf].data)
     }
 
@@ -307,7 +306,7 @@ impl Os {
         self.assert_user_access(p.pid(), src);
         self.assert_user_access(p.pid(), dst);
         let (rs, rd) = {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             if src == dst {
                 let e = &mut st.buffers[src];
                 assert!(
@@ -346,7 +345,7 @@ impl Os {
         len: u64,
     ) -> nemesis_sim::Ps {
         let (rs, rd) = {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             let (se, de) = st.two_bufs(src, dst);
             de.data[dst_off as usize..(dst_off + len) as usize]
                 .copy_from_slice(&se.data[src_off as usize..(src_off + len) as usize]);
@@ -368,7 +367,7 @@ impl Os {
         dst_off: u64,
         len: u64,
     ) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let (se, de) = st.two_bufs(src, dst);
         de.data[dst_off as usize..(dst_off + len) as usize]
             .copy_from_slice(&se.data[src_off as usize..(src_off + len) as usize]);
@@ -376,7 +375,7 @@ impl Os {
 
     /// Validate an iovec list against a buffer table (bounds + ownership).
     pub(crate) fn validate_iovs(&self, pid: Option<usize>, iovs: &[Iov]) {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         for v in iovs {
             let e = &st.buffers[v.buf];
             assert!(

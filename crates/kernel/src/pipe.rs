@@ -19,6 +19,7 @@
 
 use std::collections::VecDeque;
 
+use nemesis_model::sync::lock;
 use nemesis_sim::config::PAGE;
 use nemesis_sim::Proc;
 
@@ -78,7 +79,7 @@ impl Os {
     /// Create a pipe; allocates its 16 kernel ring pages.
     pub fn pipe_create(&self) -> PipeId {
         let ring_buf = self.alloc(SHARED_OWNER, (PIPE_SLOTS as u64) * PAGE);
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.pipes.pipes.push(Pipe {
             segs: VecDeque::new(),
             ring_buf,
@@ -90,13 +91,13 @@ impl Os {
 
     /// Bytes currently readable from the pipe.
     pub fn pipe_bytes_available(&self, pipe: PipeId) -> u64 {
-        self.state.lock().pipes.pipes[pipe].bytes_available()
+        lock(&self.state).pipes.pipes[pipe].bytes_available()
     }
 
     /// Whether the pipe holds no segments (sender may reuse vmspliced
     /// pages).
     pub fn pipe_is_drained(&self, pipe: PipeId) -> bool {
-        self.state.lock().pipes.pipes[pipe].segs.is_empty()
+        lock(&self.state).pipes.pipes[pipe].segs.is_empty()
     }
 
     /// One `writev` call: copy up to `len` bytes of `buf[off..]` into free
@@ -108,7 +109,7 @@ impl Os {
         // Plan the page copies under the lock, then charge outside it.
         let mut pairs = Vec::new();
         {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             let ring_buf = st.pipes.pipes[pipe].ring_buf;
             let mut written = 0;
             while written < len {
@@ -148,7 +149,7 @@ impl Os {
         let mut attached = 0;
         let mut pages = 0u64;
         {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             let pipe = &mut st.pipes.pipes[pipe];
             while attached < len && pipe.slots_free() > 0 {
                 // Each slot holds at most one page-run of the user buffer.
@@ -191,7 +192,7 @@ impl Os {
         let mut pairs = Vec::new();
         let mut mapped_pages = 0u64;
         {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             let ring_buf = st.pipes.pipes[pipe].ring_buf;
             let mut read = 0;
             loop {
@@ -290,7 +291,7 @@ impl Os {
     pub(crate) fn kernel_copy_multi(&self, p: &Proc, pairs: &[(BufId, u64, BufId, u64, u64)]) {
         let mut cost = 0;
         {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             for &(src, src_off, dst, dst_off, len) in pairs {
                 let (rs, rd) = if src == dst {
                     let e = &mut st.buffers[src];

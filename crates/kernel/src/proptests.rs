@@ -6,9 +6,10 @@
 
 #![cfg(test)]
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use nemesis_model::rng::StdRng;
+use nemesis_model::sync::lock;
 use nemesis_sim::{run_simulation, Machine, MachineConfig, Proc};
 
 use crate::knem::KnemFlags;
@@ -116,7 +117,7 @@ fn knem_arbitrary_iovec_splits() {
         let ioat: bool = rng.random();
         let machine = Arc::new(Machine::new(MachineConfig::xeon_e5345()));
         let os = Arc::new(Os::new(Arc::clone(&machine)));
-        let cookie_slot = parking_lot::Mutex::new(None);
+        let cookie_slot = Mutex::new(None);
         let mk_iovs = |buf, cuts: &[u64]| {
             let mut iovs = Vec::new();
             let mut off = 0;
@@ -134,9 +135,9 @@ fn knem_arbitrary_iovec_splits() {
                         *b = (i as u8).wrapping_mul(29).wrapping_add(7);
                     }
                 });
-                *cookie_slot.lock() = Some(os.knem_send_cmd(p, &mk_iovs(src, &scuts)));
+                *lock(&cookie_slot) = Some(os.knem_send_cmd(p, &mk_iovs(src, &scuts)));
             } else {
-                let cookie = p.poll_until(|| *cookie_slot.lock());
+                let cookie = p.poll_until(|| *lock(&cookie_slot));
                 let dst = os.alloc(1, total);
                 let status = os.knem_alloc_status(1);
                 let flags = if ioat {

@@ -30,6 +30,8 @@
 //!   rounds) and tag layout both stacks' collectives execute.
 //! * [`rng`] — the seeded SplitMix64 generator behind the workloads'
 //!   streams and the seeded tests; no model here draws from it.
+//! * [`sync`] — `lock`, `read` and `write` without poisoning: the one
+//!   way the stack takes a `std::sync` lock.
 
 pub mod bandit;
 pub mod chunk;
@@ -38,6 +40,7 @@ pub mod ewma;
 pub mod group;
 pub mod rng;
 pub mod sched;
+pub mod sync;
 
 pub use bandit::Bandit;
 pub use chunk::ChunkModel;

@@ -10,9 +10,12 @@
 //! its enqueue path allocation-free. [`CellPool`] layers byte storage on
 //! top; it is off the comm path — eager payloads travel in each lane's
 //! byte ring (`crate::lane`) — and is kept for the benchmark's
-//! `rt.cellpool.*` probes and the `rt_queue` bench.
+//! `rt.cellpool.*` probes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+use nemesis_model::sync::lock;
 
 const NIL: u32 = u32::MAX;
 
@@ -235,14 +238,14 @@ pub struct CellPool {
 /// on every eager message, and one-byte mutexes packed sixteen to a
 /// line make the owners of neighbouring cells false-share it.
 #[repr(align(64))]
-struct Guard(parking_lot::Mutex<()>);
+struct Guard(Mutex<()>);
 
 impl CellPool {
     pub fn new(n: usize, cell_size: usize) -> Self {
         Self {
             free: FreeStack::full(n),
             slab: Slab::new(n * cell_size),
-            guards: (0..n).map(|_| Guard(parking_lot::Mutex::new(()))).collect(),
+            guards: (0..n).map(|_| Guard(Mutex::new(()))).collect(),
             cell_size,
         }
     }
@@ -268,7 +271,7 @@ impl CellPool {
 
     /// Access a checked-out cell's payload.
     pub fn with_cell<R>(&self, index: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        let _guard = self.guards[index].0.lock();
+        let _guard = lock(&self.guards[index].0);
         // SAFETY: cells are disjoint `cell_size` ranges of the slab;
         // the per-cell guard holds the range exclusively for the
         // duration of the borrow.

@@ -21,18 +21,20 @@
 //! Two things differ from the simulator. [`RtComm`] has no non-blocking
 //! operations, so every shift round is one blocking send and receive,
 //! ordered by [`Shift::send_first`]; the scattered alltoall therefore
-//! runs its shifts serially, in round order, and coincides with arm 0.
-//! And chain segments are a fixed `CHAIN_SEG`, not the tuner's
-//! pipeline schedule.
+//! runs its shifts serially, in round order, and coincides with arm 0,
+//! so the alltoall picks no arm: it neither consults nor credits the
+//! bandit, and under `Learned` runs no arm broadcast. And chain
+//! segments are a fixed `CHAIN_SEG`, not the tuner's pipeline schedule.
 //!
-//! The arm is chosen per operation by [`RtComm::coll_alg`]: `Fixed`
-//! pins arm 0, `Alternate` pins arm 1, and `Learned` consults the
-//! collective bandit in [`RtTuner`](crate::tuner::RtTuner). On real
-//! threads only the operation's root queries the bandit; the chosen arm
-//! then rides a one-byte binomial broadcast to the rest of the group,
-//! so concurrent groups can never disagree about which algorithm an
-//! operation runs. Every member credits the arm with its own
-//! whole-operation wall-clock elapsed time on completion.
+//! The arm of a bcast, reduce or allgather is chosen per operation by
+//! [`RtComm::coll_alg`]: `Fixed` pins arm 0, `Alternate` pins arm 1,
+//! and `Learned` consults the collective bandit in
+//! [`RtTuner`](crate::tuner::RtTuner). On real threads only the
+//! operation's root queries the bandit; the chosen arm then rides a
+//! one-byte binomial broadcast to the rest of the group, so concurrent
+//! groups can never disagree about which algorithm an operation runs.
+//! Every member credits the arm with its own whole-operation wall-clock
+//! elapsed time on completion.
 //!
 //! Tags come from [`sched::tag`](nemesis_model::sched::tag): the
 //! simulator's layout of group id, per-group sequence and phase, so
@@ -510,7 +512,8 @@ pub fn alltoall(comm: &mut RtComm, send: &[u8], recv: &mut [u8], len: usize) {
 /// Alltoall over a group; block indices are group ranks. Both arms run
 /// the shifts `1..|g|` one after the other: the pairwise arm by
 /// definition, the scattered one because blocking operations cannot
-/// overlap them.
+/// overlap them. With nothing to choose between, no arm is picked or
+/// credited.
 pub fn alltoall_in(comm: &mut RtComm, g: &RtGroup, send: &[u8], recv: &mut [u8], len: usize) {
     let Some(gr) = g.group_rank(comm.rank()) else {
         return;
@@ -525,15 +528,12 @@ pub fn alltoall_in(comm: &mut RtComm, g: &RtGroup, send: &[u8], recv: &mut [u8],
     if gn == 1 || len == 0 {
         return;
     }
-    let start = Instant::now();
-    let arm = pick_arm(comm, g, RtCollKind::Alltoall, len, seq, 0, gr);
     let tag = gtag(g, seq, PHASE_ALLTOALL);
     for step in 1..gn {
         let r = shift(gn, gr, step);
         let (out, into) = (&send[r.dst * len..][..len], &mut recv[r.src * len..][..len]);
         exchange(comm, g, r, tag, out, into);
     }
-    credit(comm, g, RtCollKind::Alltoall, len, arm, gn * len, start);
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //! backends only through `LmtBackend`.
 //!
 //! This is the host-machine counterpart of `nemesis-core`: same protocol
-//! shape, real memory, real atomics — used by tests and Criterion
-//! benches to validate the data structures under true parallelism.
+//! shape, real memory, real atomics — used by tests and the in-tree
+//! benchmark to validate the data structures under true parallelism.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

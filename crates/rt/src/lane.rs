@@ -632,15 +632,17 @@ mod tests {
                     let mut refusals = 0usize;
                     for i in 0..MSGS {
                         let (hdr, len) = shape(i);
+                        let mut bo = crate::Backoff::new();
                         while !tx.try_push(hdr, body(table, i, len)) {
                             refusals += 1;
-                            std::hint::spin_loop();
+                            bo.snooze();
                         }
                     }
                     refusals
                 });
                 for i in 0..MSGS {
                     let (want, len) = shape(i);
+                    let mut bo = crate::Backoff::new();
                     loop {
                         let ok = rx.take(|h, d| {
                             assert_eq!((h.kind, h.tag, h.len), (want.kind, i as i32, len));
@@ -649,7 +651,7 @@ mod tests {
                         if ok.is_some() {
                             break;
                         }
-                        std::hint::spin_loop();
+                        bo.snooze();
                     }
                 }
                 producer.join().unwrap()
@@ -679,12 +681,14 @@ mod tests {
                         word: i,
                         ..inline_hdr(i as i32, len)
                     };
+                    let mut bo = crate::Backoff::new();
                     while !tx.try_push(hdr, &body[..len]) {
-                        std::hint::spin_loop();
+                        bo.snooze();
                     }
                 }
             });
             for i in 0..MSGS {
+                let mut bo = crate::Backoff::new();
                 loop {
                     let ok = rx.take(|h, d| {
                         assert_eq!((h.word, h.tag, h.len), (i, i as i32, i % 48));
@@ -693,7 +697,7 @@ mod tests {
                     if ok.is_some() {
                         break;
                     }
-                    std::hint::spin_loop();
+                    bo.snooze();
                 }
             }
         });

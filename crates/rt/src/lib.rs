@@ -3,8 +3,8 @@
 //! The simulated stack (`nemesis-sim` / `nemesis-core`) reproduces the
 //! paper's *numbers*; this crate reproduces its *data structures* with
 //! real threads and real atomics, so the lock-free machinery Nemesis is
-//! built on is also exercised (and benchmarked with Criterion) on the
-//! host machine:
+//! built on is also exercised (and measured by the in-tree benchmark)
+//! on the host machine:
 //!
 //! * [`queue`] — the Nemesis lock-free MPSC queue (Vyukov-style
 //!   intrusive list: multi-producer `swap` on the tail, single-consumer

@@ -134,8 +134,8 @@ pub fn backend_for_schedule(
 }
 
 /// Slots of every production copy ring, chosen from a measured sweep
-/// of slots × slot bytes (DESIGN.md, "The fast path"; `copy_engines`'
-/// `ring_depth` group re-measures it on another host). The paper's two
+/// of slots × slot bytes (DESIGN.md, "The fast path"; a new depth is
+/// judged by `rt_large_cached` in the in-tree benchmark). The paper's two
 /// — still the simulated stack's `ring_bufs` — complete a quarter fewer
 /// 256 KiB round trips a second on the benchmark host. The likely
 /// cause, inferred and not proven: a sender that can be only one chunk

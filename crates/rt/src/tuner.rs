@@ -19,11 +19,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 
 use nemesis_model::coll::slot_of;
+use nemesis_model::sync::{lock, read, write};
 use nemesis_model::{explore_flip, log2_class, Bandit, ChunkModel, CollGrid, Ewma};
-use parking_lot::{Mutex, RwLock};
 
 pub use nemesis_model::{CollKind as RtCollKind, COLL_ARMS as RT_COLL_ARMS};
 
@@ -241,7 +241,7 @@ impl RtPairTune {
         if bytes == 0 || nanos == 0 {
             return;
         }
-        let mut model = self.chunk_model.lock();
+        let mut model = lock(&self.chunk_model);
         model.observe(bytes as u64, nanos);
         if let Some(t) = model.sweet_spot() {
             self.target.store(t as usize, Ordering::Relaxed);
@@ -291,7 +291,7 @@ impl RtPairTune {
         if bytes == 0 || nanos == 0 {
             return;
         }
-        let t = self.nt_model.lock().observe(nt, bytes, nanos);
+        let t = lock(&self.nt_model).observe(nt, bytes, nanos);
         if t != 0 {
             self.nt_min.store(t, Ordering::Relaxed);
             if let Some(cell) = &self.socket_nt {
@@ -357,19 +357,19 @@ impl RtPairSelector {
 
     /// Pick the arm for one `len`-byte transfer.
     pub fn pick(&self, len: usize) -> usize {
-        self.classes.lock()[Self::class_of(len)].pick(&ALL_ARMS)
+        lock(&self.classes)[Self::class_of(len)].pick(&ALL_ARMS)
     }
 
     /// Fold one completed transfer's wall-clock bandwidth into the
     /// arm's cell.
     pub fn observe(&self, arm: usize, bytes: usize, nanos: u64) {
-        self.classes.lock()[Self::class_of(bytes)].observe(arm, bytes as u64, nanos);
+        lock(&self.classes)[Self::class_of(bytes)].observe(arm, bytes as u64, nanos);
     }
 
     /// The arm's `(bandwidth EWMA, samples)` in the class containing
     /// `bytes` (diagnostics and tests).
     pub fn cell(&self, bytes: usize, arm: usize) -> (f64, u32) {
-        self.classes.lock()[Self::class_of(bytes)].cell(arm)
+        lock(&self.classes)[Self::class_of(bytes)].cell(arm)
     }
 }
 
@@ -415,21 +415,21 @@ impl RtTuner {
     /// before the rank's pairs see traffic (existing cells keep the
     /// back-pointer they were built with).
     pub fn set_rank_socket(&self, rank: usize, socket: usize) {
-        self.sockets.write().insert(rank, socket);
+        write(&self.sockets).insert(rank, socket);
     }
 
     /// The declared socket of `rank` (0 when never declared).
     pub fn socket_of(&self, rank: usize) -> usize {
-        self.sockets.read().get(&rank).copied().unwrap_or(0)
+        read(&self.sockets).get(&rank).copied().unwrap_or(0)
     }
 
     /// The shared NT cell for a socket pair, materializing it on first
     /// touch.
     pub fn socket_nt_cell(&self, s_src: usize, s_dst: usize) -> Arc<SocketNtPrior> {
-        if let Some(c) = self.socket_nt.read().get(&(s_src, s_dst)) {
+        if let Some(c) = read(&self.socket_nt).get(&(s_src, s_dst)) {
             return Arc::clone(c);
         }
-        let mut w = self.socket_nt.write();
+        let mut w = write(&self.socket_nt);
         Arc::clone(w.entry((s_src, s_dst)).or_default())
     }
 
@@ -438,7 +438,7 @@ impl RtTuner {
     /// then distributed to the rest of the group in-band, which is what
     /// keeps concurrent groups consistent without a shared memo.
     pub fn select_coll_alg(&self, kind: RtCollKind, gsize: usize, bytes: usize) -> usize {
-        self.coll.lock().pick(slot_of(kind, gsize, bytes as u64))
+        lock(&self.coll).pick(slot_of(kind, gsize, bytes as u64))
     }
 
     /// Credit an arm with one completed collective's whole-operation
@@ -452,7 +452,7 @@ impl RtTuner {
         moved_bytes: usize,
         nanos: u64,
     ) {
-        self.coll.lock().observe(
+        lock(&self.coll).observe(
             kind,
             gsize,
             msg_bytes as u64,
@@ -470,7 +470,7 @@ impl RtTuner {
         msg_bytes: usize,
         arm: usize,
     ) -> (f64, u32) {
-        self.coll.lock().cell(kind, gsize, msg_bytes as u64, arm)
+        lock(&self.coll).cell(kind, gsize, msg_bytes as u64, arm)
     }
 
     /// The directed pair's learned state, materializing its cell on
@@ -478,13 +478,13 @@ impl RtTuner {
     /// The hot path is a read-lock plus an `Arc` clone; the write lock
     /// is taken once per pair lifetime.
     pub fn pair(&self, src: usize, dst: usize) -> Arc<RtPairTune> {
-        if let Some(p) = self.pairs.read().get(&(src, dst)) {
+        if let Some(p) = read(&self.pairs).get(&(src, dst)) {
             return Arc::clone(p);
         }
         // Resolve the socket cell before taking the pair write lock
         // (both maps are leaf locks; never hold two at once).
         let cell = self.socket_nt_cell(self.socket_of(src), self.socket_of(dst));
-        let mut w = self.pairs.write();
+        let mut w = write(&self.pairs);
         Arc::clone(
             w.entry((src, dst))
                 .or_insert_with(|| Arc::new(RtPairTune::with_socket_nt(Some(cell)))),
@@ -494,12 +494,12 @@ impl RtTuner {
     /// The pair's state only if traffic already materialized it —
     /// read-only queries must not grow the map.
     fn try_pair(&self, src: usize, dst: usize) -> Option<Arc<RtPairTune>> {
-        self.pairs.read().get(&(src, dst)).map(Arc::clone)
+        read(&self.pairs).get(&(src, dst)).map(Arc::clone)
     }
 
     /// Materialized pair cells (the resident-memory diagnostic).
     pub fn resident_pairs(&self) -> usize {
-        self.pairs.read().len()
+        read(&self.pairs).len()
     }
 
     /// Record one completed rendezvous transfer.

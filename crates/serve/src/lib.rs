@@ -41,9 +41,11 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use nemesis_core::fault::{FaultKind, FaultPlan};
+use nemesis_model::sync::lock;
 use nemesis_rt::comm::INLINE_MAX;
 use nemesis_rt::{run_rt_cfg, RtComm, RtConfig, RtLmt};
 
@@ -580,7 +582,7 @@ pub fn run_service(cfg: &ServeConfig) -> ServeReport {
         queue_capacity: cfg.queue_capacity,
         ..RtConfig::default()
     };
-    let stats: parking_lot::Mutex<Vec<ClientStats>> = parking_lot::Mutex::new(Vec::new());
+    let stats: Mutex<Vec<ClientStats>> = Mutex::new(Vec::new());
     let dropped = AtomicU64::new(0);
     // Calibrated here, before any rank starts, not on a first request.
     let clock = SpinClock::get();
@@ -609,7 +611,7 @@ pub fn run_service(cfg: &ServeConfig) -> ServeReport {
             } else {
                 comm.send(cfg.workers, TAG_CDONE, &[1u8]);
             }
-            stats.lock().push(s);
+            lock(&stats).push(s);
         }
     });
     let mut report = ServeReport {
@@ -631,7 +633,7 @@ pub fn run_service(cfg: &ServeConfig) -> ServeReport {
         elapsed_ns: 0,
         hist: LatencyHistogram::new(),
     };
-    for s in stats.into_inner() {
+    for s in stats.into_inner().unwrap_or_else(PoisonError::into_inner) {
         report.offered += s.offered;
         report.completed += s.hist.count();
         report.shed += s.shed;

@@ -19,8 +19,9 @@
 //! "different sockets" as practically equivalent (§4.2).
 
 use std::collections::HashMap;
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
+use nemesis_model::sync::lock;
 
 use crate::bus::{MemoryBus, PhysAllocator};
 use crate::cache::{Cache, Probe};
@@ -208,19 +209,19 @@ impl Machine {
 
     /// Number of independent DMA channels this machine exposes.
     pub fn dma_channels(&self) -> usize {
-        self.inner.lock().dma.num_channels()
+        lock(&self.inner).dma.num_channels()
     }
 
     /// The NUMA-local DMA channel for a memory node (offload-queue
     /// placement: submit a copy on the channel next to the destination's
     /// memory controller).
     pub fn dma_channel_for_node(&self, node: usize) -> usize {
-        self.inner.lock().dma.channel_for_node(node)
+        lock(&self.inner).dma.channel_for_node(node)
     }
 
     /// Allocate simulated physical memory (page aligned) on NUMA node 0.
     pub fn alloc_phys(&self, len: u64) -> u64 {
-        self.inner.lock().alloc.alloc_on(0, len)
+        lock(&self.inner).alloc.alloc_on(0, len)
     }
 
     /// Allocate on a specific NUMA node (first-touch placement, §6). On
@@ -233,7 +234,7 @@ impl Machine {
                 "bad NUMA node {node}"
             );
         }
-        self.inner.lock().alloc.alloc_on(node, len)
+        lock(&self.inner).alloc.alloc_on(node, len)
     }
 
     #[inline]
@@ -309,7 +310,7 @@ impl Machine {
         kind: AccessKind,
         now: Ps,
     ) -> Ps {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let mut cost: Ps = 0;
         for line in range.lines() {
             cost += self.access_line(&mut inner, pid, core, line, kind, now + cost);
@@ -348,7 +349,7 @@ impl Machine {
             CopyMode::Temporal => AccessKind::Write,
             CopyMode::NonTemporal => AccessKind::StreamWrite,
         };
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let mut cost: Ps = 0;
         let src_lines: Vec<u64> = src.lines().collect();
         let dst_lines: Vec<u64> = dst.lines().collect();
@@ -667,7 +668,7 @@ impl Machine {
         channel: usize,
         descs: &[(PhysRange, PhysRange)],
     ) -> DmaSubmission {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let c = &self.cfg.costs;
         let mut cpu_cost: Ps = 0;
         let mut complete_at = now;
@@ -734,7 +735,7 @@ impl Machine {
         channel: usize,
         status: PhysRange,
     ) -> DmaSubmission {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         for line in status.lines() {
             if let Some(mask) = inner.presence.remove(&line) {
                 for id in BitIter(mask) {
@@ -753,26 +754,26 @@ impl Machine {
 
     /// Charge one system call to `pid` and return its cost.
     pub fn syscall(&self, pid: usize) -> Ps {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.stats.proc_mut(pid).syscalls += 1;
         self.cfg.costs.syscall
     }
 
     /// Charge pinning `pages` pages (`get_user_pages`).
     pub fn pin_pages(&self, pid: usize, pages: u64) -> Ps {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.stats.proc_mut(pid).pinned_pages += pages;
         pages * self.cfg.costs.pin_page
     }
 
     /// Counter snapshot.
     pub fn snapshot(&self) -> StatsSnapshot {
-        self.inner.lock().stats.snapshot()
+        lock(&self.inner).stats.snapshot()
     }
 
     /// Flush every cache and forget presence (between experiment phases).
     pub fn flush_caches(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         for c in &mut inner.caches {
             c.flush();
         }
@@ -781,14 +782,13 @@ impl Machine {
 
     /// Lines of `range` resident in the L2 serving `core` (diagnostics).
     pub fn l2_resident(&self, core: CoreId, range: PhysRange) -> usize {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         inner.caches[self.l2_id(core)].resident_in(range.base, range.len)
     }
 
     /// Total bytes moved over the memory bus(es) so far.
     pub fn bus_bytes(&self) -> u64 {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .buses
             .iter()
             .map(MemoryBus::total_bytes)
@@ -798,7 +798,7 @@ impl Machine {
     /// Verify the presence map matches cache contents (test helper; O(n)).
     #[doc(hidden)]
     pub fn check_presence_invariant(&self) {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         for (&line, &mask) in &inner.presence {
             assert!(mask != 0, "zero mask left in presence map");
             for (id, cache) in inner.caches.iter().enumerate() {

@@ -15,9 +15,9 @@
 //! lowest-clock process make progress in between.
 
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use nemesis_model::sync::lock;
 
 use crate::machine::{AccessKind, CopyMode, DmaSubmission, Machine, PhysRange};
 use crate::stats::StatsSnapshot;
@@ -57,11 +57,12 @@ struct SchedShared {
 }
 
 impl SchedShared {
-    /// Wait, holding `st`'s lock, until `pid` is the granted process.
-    fn wait_for_grant(&self, pid: usize, st: &mut MutexGuard<'_, State>) {
-        while st.current != Some(pid) {
-            self.cvs[pid].wait(st);
-        }
+    /// Wait, holding `st`'s lock, until `pid` is the granted process;
+    /// returns the lock, still held.
+    fn wait_for_grant<'a>(&self, pid: usize, st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        self.cvs[pid]
+            .wait_while(st, |st| st.current != Some(pid))
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Wake the process `st` just granted, if any.
@@ -111,14 +112,14 @@ impl Proc {
     /// Yield to the scheduler; resumes when this process is again the one
     /// with the lowest virtual clock.
     pub fn yield_now(&self) {
-        let mut st = self.shared.m.lock();
+        let mut st = lock(&self.shared.m);
         st.clocks[self.pid] = self.clock.get();
         st.grant();
         if st.current == Some(self.pid) {
             return; // Still the minimum: keep running.
         }
         self.shared.wake_granted(&st);
-        self.shared.wait_for_grant(self.pid, &mut st);
+        drop(self.shared.wait_for_grant(self.pid, st));
     }
 
     /// One empty poll: charge the poll cost and yield. The workhorse of
@@ -261,7 +262,7 @@ where
         }),
         cvs: (0..n).map(|_| Condvar::new()).collect(),
     });
-    shared.m.lock().grant();
+    lock(&shared.m).grant();
 
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n);
@@ -271,7 +272,7 @@ where
             let body = &body;
             handles.push(scope.spawn(move || {
                 // Wait for our first grant.
-                shared.wait_for_grant(pid, &mut shared.m.lock());
+                drop(shared.wait_for_grant(pid, lock(&shared.m)));
                 let proc = Proc {
                     pid,
                     core,
@@ -281,7 +282,7 @@ where
                 };
                 // Run the body, then retire (syncing the final clock).
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&proc)));
-                let mut st = shared.m.lock();
+                let mut st = lock(&shared.m);
                 st.clocks[pid] = proc.now();
                 st.status[pid] = Status::Done;
                 st.grant();
@@ -299,7 +300,7 @@ where
         }
     });
 
-    let st = shared.m.lock();
+    let st = lock(&shared.m);
     let finish_times = st.clocks.clone();
     let makespan = finish_times.iter().copied().max().unwrap_or(0);
     SimReport {
@@ -313,7 +314,6 @@ where
 mod tests {
     use super::*;
     use crate::config::MachineConfig;
-    use parking_lot::Mutex as PMutex;
 
     fn machine() -> Arc<Machine> {
         Arc::new(Machine::new(MachineConfig::xeon_e5345()))
@@ -321,18 +321,18 @@ mod tests {
 
     #[test]
     fn processes_interleave_in_clock_order() {
-        let log = Arc::new(PMutex::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         let log2 = Arc::clone(&log);
         run_simulation(machine(), &[0, 1], move |p| {
             // Process 0 advances in steps of 10, process 1 in steps of 25.
             let step = if p.pid() == 0 { 10 } else { 25 };
             for _ in 0..4 {
-                log2.lock().push((p.pid(), p.now()));
+                lock(&log2).push((p.pid(), p.now()));
                 p.advance(step);
                 p.yield_now();
             }
         });
-        let log = log.lock().clone();
+        let log = lock(&log).clone();
         // Events must be sorted by (time, pid).
         let mut sorted = log.clone();
         sorted.sort_by_key(|&(pid, t)| (t, pid));
@@ -358,15 +358,15 @@ mod tests {
     #[test]
     fn poll_until_makes_progress() {
         // Process 1 waits for a flag process 0 sets at t=1000.
-        let flag = Arc::new(PMutex::new(None::<Ps>));
+        let flag = Arc::new(Mutex::new(None::<Ps>));
         let f2 = Arc::clone(&flag);
         let r = run_simulation(machine(), &[0, 1], move |p| {
             if p.pid() == 0 {
                 p.advance(1_000);
                 p.yield_now();
-                *f2.lock() = Some(p.now());
+                *lock(&f2) = Some(p.now());
             } else {
-                let seen_at = p.poll_until(|| *f2.lock());
+                let seen_at = p.poll_until(|| *lock(&f2));
                 assert_eq!(seen_at, 1_000);
                 // The poller's clock advanced past the flag time.
                 assert!(p.now() >= 1_000);

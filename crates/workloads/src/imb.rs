@@ -11,10 +11,11 @@
 //! payload moved by the operation divided by the average per-rank
 //! duration.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use nemesis_core::{Nemesis, NemesisConfig};
 use nemesis_kernel::Os;
+use nemesis_model::sync::lock;
 use nemesis_sim::topology::Placement;
 use nemesis_sim::{mib_per_s, run_simulation, Machine, MachineConfig, Ps};
 
@@ -48,7 +49,7 @@ pub fn pingpong_bench(
     let machine = Arc::new(Machine::new(mcfg));
     let os = Arc::new(Os::new(Arc::clone(&machine)));
     let nem = Nemesis::new(os, 2, ncfg);
-    let timing = parking_lot::Mutex::new((0u64, 0u64, 0u64)); // (t0, t1, misses)
+    let timing = Mutex::new((0u64, 0u64, 0u64)); // (t0, t1, misses)
     let m2 = Arc::clone(&machine);
     run_simulation(Arc::clone(&machine), &[a, b], |p| {
         let comm = nem.attach(p);
@@ -82,13 +83,13 @@ pub fn pingpong_bench(
         }
         comm.barrier();
         if comm.rank() == 0 {
-            let mut t = timing.lock();
+            let mut t = lock(&timing);
             t.0 = t0;
             t.1 = p.now();
             t.2 = m2.snapshot().l2_misses() - miss0;
         }
     });
-    let (t0, t1, misses) = *timing.lock();
+    let (t0, t1, misses) = *lock(&timing);
     let rtt = (t1 - t0) / reps as u64;
     let latency = rtt / 2;
     PingpongResult {
@@ -126,7 +127,7 @@ pub fn alltoall_bench(
     let os = Arc::new(Os::new(Arc::clone(&machine)));
     let nem = Nemesis::new(os, nprocs, ncfg);
     let placements: Vec<usize> = (0..nprocs).collect();
-    let timing = parking_lot::Mutex::new((0u64, 0u64, 0u64));
+    let timing = Mutex::new((0u64, 0u64, 0u64));
     let m2 = Arc::clone(&machine);
     run_simulation(Arc::clone(&machine), &placements, |p| {
         let comm = nem.attach(p);
@@ -147,13 +148,13 @@ pub fn alltoall_bench(
         }
         comm.barrier();
         if comm.rank() == 0 {
-            let mut t = timing.lock();
+            let mut t = lock(&timing);
             t.0 = t0;
             t.1 = p.now();
             t.2 = m2.snapshot().l2_misses() - miss0;
         }
     });
-    let (t0, t1, misses) = *timing.lock();
+    let (t0, t1, misses) = *lock(&timing);
     let op_time = (t1 - t0) / reps as u64;
     // Total payload of one alltoall: every rank sends (n-1) remote blocks.
     let total_bytes = (nprocs as u64) * (nprocs as u64 - 1) * msg_size;

@@ -6,10 +6,11 @@
 //! claim: every collective should show the same LMT ordering as
 //! Figure 7 once messages are large enough.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use nemesis_core::{Nemesis, NemesisConfig};
 use nemesis_kernel::Os;
+use nemesis_model::sync::lock;
 use nemesis_sim::{mib_per_s, run_simulation, Machine, MachineConfig, Ps};
 
 /// Outcome of one suite benchmark at one message size.
@@ -91,7 +92,7 @@ pub fn suite_bench(
     let os = Arc::new(Os::new(Arc::clone(&machine)));
     let nem = Nemesis::new(os, nprocs, ncfg);
     let placements: Vec<usize> = (0..nprocs).collect();
-    let timing = parking_lot::Mutex::new((0u64, 0u64));
+    let timing = Mutex::new((0u64, 0u64));
     run_simulation(Arc::clone(&machine), &placements, |p| {
         let comm = nem.attach(p);
         let os = comm.os();
@@ -148,10 +149,10 @@ pub fn suite_bench(
         }
         comm.barrier();
         if me == 0 {
-            *timing.lock() = (t0, p.now());
+            *lock(&timing) = (t0, p.now());
         }
     });
-    let (t0, t1) = *timing.lock();
+    let (t0, t1) = *lock(&timing);
     let op_time = (t1 - t0) / reps as u64;
     let agg = bench.agg_bytes(nprocs as u64, msg_size);
     SuiteResult {

@@ -23,7 +23,8 @@
 //! * [`rt`] — the same data structures on real threads and atomics
 //!   (lock-free MPSC queue, per-pair SPSC lanes and eager byte rings, copy
 //!   engines behind the mirror `RtLmtBackend` trait, a mini runtime
-//!   with collectives), benchmarked with Criterion.
+//!   with collectives), measured by the in-tree benchmark's `rt.*`
+//!   probes and workloads.
 //! * [`model`] — the clock-free online models (EWMA cell, bandit, chunk
 //!   sweet spot, collective grid, rank group) both tuners execute.
 //! * [`workloads`] — IMB-style microbenchmarks, NAS proxy kernels, and

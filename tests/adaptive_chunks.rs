@@ -16,9 +16,7 @@
 //!    within 2× of the architectural value, and the learned threshold
 //!    can never sink below the eager/rendezvous switchover.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use nemesis::core::lmt::ALL_SELECTS;
 use nemesis::core::{
@@ -27,6 +25,7 @@ use nemesis::core::{
 };
 use nemesis::kernel::Os;
 use nemesis::model::rng::StdRng;
+use nemesis::model::sync::lock;
 use nemesis::sim::{run_simulation, Machine, MachineConfig};
 
 #[test]
@@ -140,10 +139,10 @@ fn sim_roundtrip(mut cfg: NemesisConfig, lmt: LmtSelect) -> Vec<u8> {
         } else {
             let buf = os.alloc(1, LEN);
             comm.recv(Some(0), Some(1), buf, 0, LEN);
-            *out.lock() = os.read_bytes(comm.proc(), buf, 0, LEN);
+            *lock(&out) = os.read_bytes(comm.proc(), buf, 0, LEN);
         }
     });
-    let got = std::mem::take(&mut *out.lock());
+    let got = std::mem::take(&mut *lock(&out));
     got
 }
 

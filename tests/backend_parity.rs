@@ -7,9 +7,7 @@
 //! a new copy engine that passes this suite can be selected by any
 //! policy without protocol changes.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use nemesis::core::lmt::{ALL_SELECTS, ALL_STRIPED};
 use nemesis::core::{
@@ -17,6 +15,7 @@ use nemesis::core::{
     VectorLayout,
 };
 use nemesis::kernel::Os;
+use nemesis::model::sync::lock;
 use nemesis::rt::{
     run_rt, run_rt_cfg, RtChunkScheduleSelect, RtConfig, ALL_RT_LMTS, ALL_RT_STRIPED,
 };
@@ -88,7 +87,7 @@ fn sim_roundtrip_cfg(cfg: NemesisConfig) -> (Vec<u8>, Vec<u8>) {
             let r1 = comm.irecv(Some(0), Some(1), cbuf, 0, LEN);
             comm.wait(r1);
             assert!(comm.test(r1), "{lmt:?}: waited recv must report done");
-            *contiguous_out.lock() = os.read_bytes(comm.proc(), cbuf, 0, LEN);
+            *lock(&contiguous_out) = os.read_bytes(comm.proc(), cbuf, 0, LEN);
             // Receive the strided message into a *differently* strided
             // destination, then linearize for comparison.
             let rlayout = VectorLayout::strided(128, 4 << 10, 20 << 10, 75);
@@ -99,7 +98,7 @@ fn sim_roundtrip_cfg(cfg: NemesisConfig) -> (Vec<u8>, Vec<u8>) {
             for (off, blen) in rlayout.blocks() {
                 lin.extend_from_slice(&raw[off as usize..(off + blen) as usize]);
             }
-            *strided_out.lock() = lin;
+            *lock(&strided_out) = lin;
         }
     });
     // Completion semantics shared by every backend: no leaked KNEM
@@ -107,8 +106,8 @@ fn sim_roundtrip_cfg(cfg: NemesisConfig) -> (Vec<u8>, Vec<u8>) {
     assert_eq!(os.knem_live_cookies(), 0, "{lmt:?}: cookie leak");
     assert_eq!(os.knem_pinned_pages(), 0, "{lmt:?}: pin leak");
     let out = (
-        std::mem::take(&mut *contiguous_out.lock()),
-        std::mem::take(&mut *strided_out.lock()),
+        std::mem::take(&mut *lock(&contiguous_out)),
+        std::mem::take(&mut *lock(&strided_out)),
     );
     out
 }

@@ -214,7 +214,8 @@ fn exhausted_retry_budget_fails_loudly_instead_of_hanging() {
 #[test]
 fn subgroup_allgather_survives_rail_failure_and_dropped_done() {
     use nemesis::core::CommGroup;
-    use parking_lot::Mutex;
+    use nemesis::model::sync::lock;
+    use std::sync::{Mutex, PoisonError};
 
     let rounds = 3usize;
     let len = 192u64 << 10; // rendezvous-sized: rides the stripe
@@ -257,7 +258,7 @@ fn subgroup_allgather_survives_rail_failure_and_dropped_done() {
                                 );
                             }
                             if round == rounds - 1 {
-                                collected.lock()[gr] = d[..gn * len as usize].to_vec();
+                                lock(&collected)[gr] = d[..gn * len as usize].to_vec();
                             }
                         });
                     }
@@ -266,7 +267,10 @@ fn subgroup_allgather_survives_rail_failure_and_dropped_done() {
             assert_eq!(os.knem_live_cookies(), 0, "coll chaos: cookie leak");
             assert_eq!(os.knem_pinned_pages(), 0, "coll chaos: pin leak");
             assert_eq!(os.cma_live_windows(), 0, "coll chaos: window leak");
-            Arc::try_unwrap(results).expect("sim done").into_inner()
+            Arc::try_unwrap(results)
+                .expect("sim done")
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
         };
 
     let clean = run(None);

@@ -4,10 +4,11 @@
 
 #![allow(clippy::field_reassign_with_default, clippy::needless_range_loop)]
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use nemesis::core::{BackendSelect, Comm, KnemSelect, LmtSelect, Nemesis, NemesisConfig};
 use nemesis::kernel::{Iov, KnemFlags, Os};
+use nemesis::model::sync::lock;
 use nemesis::sim::{run_simulation, Machine, MachineConfig};
 
 fn n_ranks(n: usize, cfg: NemesisConfig, body: impl Fn(&Comm<'_>) + Send + Sync) {
@@ -112,13 +113,13 @@ fn knem_unknown_cookie_panics() {
 fn knem_length_mismatch_rejected() {
     let machine = Arc::new(Machine::new(MachineConfig::xeon_e5345()));
     let os = Arc::new(Os::new(Arc::clone(&machine)));
-    let cookie_slot = parking_lot::Mutex::new(None);
+    let cookie_slot = Mutex::new(None);
     run_simulation(machine, &[0, 1], |p| {
         if p.pid() == 0 {
             let src = os.alloc(0, 128);
-            *cookie_slot.lock() = Some(os.knem_send_cmd(p, &[Iov::new(src, 0, 128)]));
+            *lock(&cookie_slot) = Some(os.knem_send_cmd(p, &[Iov::new(src, 0, 128)]));
         } else {
-            let c = p.poll_until(|| *cookie_slot.lock());
+            let c = p.poll_until(|| *lock(&cookie_slot));
             let dst = os.alloc(1, 64);
             let status = os.knem_alloc_status(1);
             os.knem_recv_cmd(p, c, &[Iov::new(dst, 0, 64)], KnemFlags::sync_cpu(), status);

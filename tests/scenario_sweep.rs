@@ -6,15 +6,14 @@
 //! virtual time must land within 1.25× of the best *fixed* backend for
 //! the same scenario. Fixed seeds keep every run reproducible.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use nemesis::core::{
     BackendSelect, KnemSelect, LmtSelect, Nemesis, NemesisConfig, ThresholdSelect,
 };
 use nemesis::kernel::Os;
 use nemesis::model::rng::StdRng;
+use nemesis::model::sync::lock;
 use nemesis::sim::topology::Placement;
 use nemesis::sim::{run_simulation, Machine, MachineConfig};
 
@@ -161,13 +160,13 @@ fn run_scenario(sc: &Scenario, cfg: NemesisConfig) -> u64 {
             }
         }
         if me == 1 {
-            *elapsed.lock() = comm.proc().now() - t0;
+            *lock(&elapsed) = comm.proc().now() - t0;
         }
     });
     assert_eq!(os.knem_live_cookies(), 0, "{}: cookie leak", sc.name);
     assert_eq!(os.knem_pinned_pages(), 0, "{}: pin leak", sc.name);
     assert_eq!(os.cma_live_windows(), 0, "{}: window leak", sc.name);
-    let t = *elapsed.lock();
+    let t = *lock(&elapsed);
     t
 }
 

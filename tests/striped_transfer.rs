@@ -6,13 +6,12 @@
 
 #![allow(clippy::field_reassign_with_default)]
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use nemesis::core::lmt::{TransferClass, TransferSample};
 use nemesis::core::{LmtSelect, Nemesis, NemesisConfig, ThresholdSelect};
 use nemesis::kernel::Os;
+use nemesis::model::sync::lock;
 use nemesis::sim::topology::Placement;
 use nemesis::sim::{run_simulation, Machine, MachineConfig};
 use nemesis::workloads::imb::pingpong_bench;
@@ -72,7 +71,7 @@ fn roundtrip_on(
             }
             let buf = os.alloc(1, len.max(1));
             comm.recv(Some(0), Some(7), buf, 0, len);
-            *out.lock() = os.read_bytes(comm.proc(), buf, 0, len);
+            *lock(&out) = os.read_bytes(comm.proc(), buf, 0, len);
         }
     });
     // Completion hygiene shared by every stripe composition: nothing
@@ -80,7 +79,7 @@ fn roundtrip_on(
     assert_eq!(os.knem_live_cookies(), 0, "cookie leak");
     assert_eq!(os.knem_pinned_pages(), 0, "pin leak");
     assert_eq!(os.cma_live_windows(), 0, "window leak");
-    let bytes = std::mem::take(&mut *out.lock());
+    let bytes = std::mem::take(&mut *lock(&out));
     (bytes, report.makespan)
 }
 
